@@ -43,7 +43,7 @@ from repro.analysis.report import build_report
 from repro.analysis.tables import render_table
 from repro.core.complexity import COMPLEXITY_MODELS
 from repro.ecc.curves_data import CURVE_SPECS
-from repro.engine import Engine, available_backends, get_backend
+from repro.engine import Engine, EngineSpec, available_backends, get_backend
 from repro.errors import ReproError
 from repro.experiments import Runner, available_experiments, get_experiment
 from repro.modsram.area import AreaModel
@@ -395,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="listen port (0 = ephemeral; the bound port is printed)",
     )
     cluster_router.add_argument(
-        "--backend", default="compiled",
+        "--backend", default=EngineSpec().backend,
         help="engine backend every joining worker builds",
     )
     cluster_router.add_argument(
@@ -951,7 +951,6 @@ def _command_cluster_router(arguments: argparse.Namespace) -> int:
     import asyncio
 
     from repro.cluster import Router, RouterConfig
-    from repro.engine import EngineSpec
 
     if arguments.backend not in available_backends():
         print(f"unknown backend {arguments.backend!r}; available: "

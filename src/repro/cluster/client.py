@@ -46,6 +46,24 @@ from repro.workloads import WorkloadGraph
 
 __all__ = ["ClusterClient", "ClusterResponse"]
 
+
+def _plain_pairs(rows: Sequence[object]) -> bool:
+    """Whether every row is a two-item list/tuple of exact ``int`` s.
+
+    Such a batch needs no conversion: both wire codecs carry it as is
+    (v2 packs it as an operand blob when every operand fits the width).
+    """
+    for row in rows:
+        if (
+            type(row) not in (list, tuple)
+            or len(row) != 2  # type: ignore[arg-type]
+            or type(row[0]) is not int  # type: ignore[index]
+            or type(row[1]) is not int  # type: ignore[index]
+        ):
+            return False
+    return True
+
+
 #: Error-frame names mapped back to the exception classes they started
 #: as on the worker/router side (anything unknown degrades to
 #: :class:`ServiceError`, never to a swallowed string).
@@ -191,13 +209,17 @@ class ClusterClient:
         slo: Optional[str] = None,
         deadline_ms: Optional[float] = None,
     ) -> ClusterResponse:
-        """Submit a batch of operand pairs to the fleet."""
+        """Submit a batch of operand pairs to the fleet.
+
+        Rows of exact ``int`` s are sent as given.  Any other batch is
+        rebuilt as ``[[int(a), int(b)], ...]``, the JSON form every wire
+        version can carry.
+        """
+        rows = pairs if type(pairs) in (list, tuple) else list(pairs)
+        if not _plain_pairs(rows):
+            rows = [[int(a), int(b)] for a, b in rows]
         return await self._submit(
-            {
-                "kind": "pairs",
-                "modulus": int(modulus),
-                "pairs": [[int(a), int(b)] for a, b in pairs],
-            },
+            {"kind": "pairs", "modulus": int(modulus), "pairs": rows},
             slo,
             deadline_ms,
         )

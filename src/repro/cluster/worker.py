@@ -269,10 +269,12 @@ class WorkerNode:
             deadline = None if deadline_ms is None else float(deadline_ms)  # type: ignore[arg-type]
             if kind == "pairs":
                 payload = message["payload"]
+                # The server's admission range-checks (and, for a v1 JSON
+                # payload, converts) the operands: no copy is needed here.
                 pairs = (
                     payload.topairs()
                     if isinstance(payload, PackedInts)
-                    else [(int(a), int(b)) for a, b in payload]  # type: ignore[union-attr]
+                    else payload
                 )
                 response = await self.server.multiply_batch(
                     pairs,
@@ -308,7 +310,7 @@ class WorkerNode:
         result = {
             "type": "result",
             "id": job_id,
-            "values": [int(v) for v in response.values],
+            "values": list(response.values),
             "kind": response.kind,
             "backend": response.backend,
             "modulus": response.modulus,

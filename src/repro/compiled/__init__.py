@@ -19,8 +19,9 @@ process-wide:
   multiplier and Engine backend adapter.
 
 The ``compiled`` backend is parity-locked bit-identical to
-``r4csa-lut`` (see ``tests/compiled/``) and is the default shard engine
-of the serving pool and the cluster fleet.  See ``docs/compiled.md``.
+``r4csa-lut`` (see ``tests/compiled/``).  It is selectable by name but
+not the default: its Barrett loop runs below the plain ``a * b % p`` of
+the default ``schoolbook`` backend.  See ``docs/compiled.md``.
 """
 
 from repro.compiled.cache import (

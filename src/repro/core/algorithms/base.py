@@ -142,8 +142,8 @@ class ModularMultiplier(abc.ABC):
         Subclasses may additionally define an optional
         ``_multiply_batch(pairs, modulus) -> Sequence[int]`` hook with the
         same precondition; :meth:`repro.engine.Engine.multiply_batch`
-        prefers it over the per-element loop when present (the
-        ``compiled`` backend's flattened kernel path).
+        prefers it over the per-element loop when present (``schoolbook``'s
+        one list comprehension, the ``compiled`` backend's kernel loop).
         """
 
     # ------------------------------------------------------------------ #

@@ -8,6 +8,8 @@ oriented algorithms never rests on comparing them only to each other.
 
 from __future__ import annotations
 
+from typing import List, Sequence, Tuple
+
 from repro.core.algorithms.base import ModularMultiplier, register_multiplier
 
 __all__ = ["SchoolbookMultiplier"]
@@ -24,3 +26,14 @@ class SchoolbookMultiplier(ModularMultiplier):
     def _multiply(self, a: int, b: int, modulus: int) -> int:
         self.stats.full_additions += 1
         return (a * b) % modulus
+
+    def _multiply_batch(
+        self, pairs: Sequence[Tuple[int, int]], modulus: int
+    ) -> List[int]:
+        """The engine's batch hook: ``a * b % p`` over the whole batch.
+
+        Operands are already validated (the ``_multiply`` contract), and
+        the stats move exactly as ``len(pairs)`` calls of ``_multiply``.
+        """
+        self.stats.full_additions += len(pairs)
+        return [a * b % modulus for a, b in pairs]

@@ -375,13 +375,16 @@ class Engine:
         size (see ``tests/engine/test_engine.py``).
 
         Multipliers that define a ``_multiply_batch(pairs, modulus)`` hook
-        (the ``compiled`` backend's flattened kernel loop) get the whole
-        validated batch in one call instead of a Python-level loop of
-        ``_multiply`` dispatches.
+        (the ``schoolbook`` one-liner, the ``compiled`` kernel loop) get the
+        whole validated batch in one call instead of a Python-level loop of
+        ``_multiply`` dispatches.  A batch that is already a ``list`` is
+        used as given, not copied.
         """
         context, hit = self._lookup(modulus)
         p = context.modulus
-        work: List[Tuple[int, int]] = list(pairs)
+        work: List[Tuple[int, int]] = (
+            pairs if isinstance(pairs, list) else list(pairs)
+        )
         for a, b in work:
             if not 0 <= a < p:
                 raise OperandRangeError(

@@ -38,11 +38,13 @@ class EngineSpec:
     is of course independent — that is the point.
     """
 
-    #: Backend registry name (``"compiled"``, ``"r4csa-lut"``,
-    #: ``"montgomery"``, ...).  The default is the codegen backend: a
-    #: spec is what ships to pool shards and cluster worker nodes, and
-    #: those want the fastest bit-identical kernel unless told otherwise.
-    backend: str = "compiled"
+    #: Backend registry name (``"schoolbook"``, ``"r4csa-lut"``,
+    #: ``"montgomery"``, ...).  The default is ``schoolbook``, whose batch
+    #: hook is the plain ``a * b % p`` floor: a spec is what ships to pool
+    #: shards and cluster worker nodes, and no registered kernel beats
+    #: that one-liner on BN254-sized operands (the ``compiled`` Barrett
+    #: kernel runs at about 0.6-0.75x of it; see ``docs/compiled.md``).
+    backend: str = "schoolbook"
     #: Named curve whose base field becomes the default modulus.
     curve: Optional[str] = None
     #: Explicit default modulus (overrides ``curve``'s base field).

@@ -51,6 +51,27 @@ from repro.workloads.graph import WorkloadGraph
 __all__ = ["ServerConfig", "Response", "Server"]
 
 
+def _admit_pairs(
+    pairs: List[Tuple[int, int]], modulus: int
+) -> List[Tuple[int, int]]:
+    """Range-check a pair batch at admission; the list the engine runs.
+
+    A batch whose operands are all exact ``int`` s comes back as the same
+    list, uncopied.  At the first operand of any other type ``int()``
+    accepts (``bool``, ``numpy.int64``, ...), the batch is rebuilt as
+    exact ints in a new list, so the caller's own batch is never modified.
+    """
+    for a, b in pairs:
+        if type(a) is not int or type(b) is not int:
+            return _admit_pairs([(int(a), int(b)) for a, b in pairs], modulus)
+        if not 0 <= a < modulus or not 0 <= b < modulus:
+            raise OperandRangeError(
+                f"operands must satisfy 0 <= a, b < p, got "
+                f"a={a}, b={b}, p={modulus}"
+            )
+    return pairs
+
+
 @dataclass(frozen=True)
 class ServerConfig:
     """Tunables of the serving layer."""
@@ -267,8 +288,7 @@ class Server:
     ) -> Response:
         """Submit one multiplication; resolves when its batch executes."""
         return await self._submit(
-            "pairs", [(int(a), int(b))], modulus, tenant, priority,
-            deadline_ms, pairs=1,
+            "pairs", [(a, b)], modulus, tenant, priority, deadline_ms, pairs=1
         )
 
     async def multiply_batch(
@@ -279,8 +299,12 @@ class Server:
         priority: int = 0,
         deadline_ms: Optional[float] = None,
     ) -> Response:
-        """Submit a batch of operand pairs as one request."""
-        work = [(int(a), int(b)) for a, b in pairs]
+        """Submit a batch of operand pairs as one request.
+
+        A ``list`` batch is not copied; operands that are not exact
+        ``int`` s are converted at admission (see :func:`_admit_pairs`).
+        """
+        work = pairs if type(pairs) is list else list(pairs)
         if not work:
             raise ConfigurationError("multiply_batch needs at least one pair")
         return await self._submit(
@@ -343,12 +367,7 @@ class Server:
         if kind == "pairs":
             # Validate at admission: a bad operand fails *this* caller,
             # never the other requests its batch would have coalesced with.
-            for a, b in payload:  # type: ignore[union-attr]
-                if not 0 <= a < modulus or not 0 <= b < modulus:
-                    raise OperandRangeError(
-                        f"operands must satisfy 0 <= a, b < p, got "
-                        f"a={a}, b={b}, p={modulus}"
-                    )
+            payload = _admit_pairs(payload, modulus)  # type: ignore[arg-type]
         # The admission bound covers work buffered anywhere between here
         # and completion: requests in the server's own queues plus
         # requests inside batches already handed to the executor (a pool

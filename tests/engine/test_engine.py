@@ -163,6 +163,38 @@ class TestBatch:
         assert batch.count == 0
         assert list(batch) == []
 
+    @pytest.mark.parametrize("size", [0, 1, 4096])
+    @pytest.mark.parametrize("as_generator", [False, True])
+    def test_schoolbook_batch_hook_matches_the_per_call_loop(
+        self, size, as_generator
+    ):
+        rng = random.Random(4096 + size)
+        pairs = [
+            (rng.randrange(BN254_P), rng.randrange(BN254_P)) for _ in range(size)
+        ]
+        engine = Engine(backend="schoolbook", modulus=BN254_P)
+        multiplier = engine.context().multiplier
+        assert hasattr(multiplier, "_multiply_batch")
+        batch = engine.multiply_batch(
+            (pair for pair in pairs) if as_generator else pairs
+        )
+
+        # The same multiplier class, driven one ``_multiply`` call at a
+        # time the way the engine loops over hook-less backends.
+        reference = type(multiplier)()
+        expected = [reference._multiply(a, b, BN254_P) for a, b in pairs]
+        reference.stats.multiplications += len(pairs)
+        assert batch.values == tuple(expected)
+        assert batch.stats == reference.stats
+        assert engine.stats().operations == reference.stats
+
+    def test_list_batch_is_left_unmodified(self):
+        engine = Engine(backend="schoolbook", modulus=97)
+        pairs = [(3, 5), [7, 11]]
+        batch = engine.multiply_batch(pairs)
+        assert list(batch) == [15, 77]
+        assert pairs == [(3, 5), [7, 11]]
+
 
 class TestPower:
     @pytest.mark.parametrize("backend", ("schoolbook", "montgomery", "r4csa-lut"))

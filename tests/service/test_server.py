@@ -259,6 +259,66 @@ class TestOperandValidation:
 
         run(scenario())
 
+    @pytest.mark.parametrize("backend", ["schoolbook", "barrett"])
+    def test_bad_bulk_operand_fails_only_its_caller(self, backend):
+        async def scenario():
+            from repro.errors import OperandRangeError
+
+            modulus = 65521
+            good_pairs = [(k + 2, 3 * k + 1) for k in range(64)]
+            config = ServerConfig(batch_window_ms=20.0)
+            async with Server(
+                backend=backend, modulus=modulus, config=config
+            ) as server:
+                results = await asyncio.gather(
+                    server.multiply_batch(good_pairs, tenant="good"),
+                    server.multiply_batch([(4, 5), (-1, 2)], tenant="neg"),
+                    server.multiply_batch([(4, 5), (3, modulus)], tenant="big"),
+                    return_exceptions=True,
+                )
+            assert results[0].values == tuple(
+                a * b % modulus for a, b in good_pairs
+            )
+            assert isinstance(results[1], OperandRangeError)
+            assert isinstance(results[2], OperandRangeError)
+
+        run(scenario())
+
+    def test_non_int_operands_are_converted_like_int(self):
+        # Pinned behaviour: every operand ``int()`` accepts is accepted,
+        # and the caller's own batch is left exactly as it was passed.
+        np = pytest.importorskip("numpy")
+
+        async def scenario():
+            modulus = 997
+            pairs = [
+                (True, 5),
+                (np.int64(12), np.uint8(7)),
+                (3.0, "11"),
+                [False, 996],
+            ]
+            snapshot = [tuple(pair) for pair in pairs]
+            async with Server(backend="schoolbook", modulus=modulus) as server:
+                response = await server.multiply_batch(pairs)
+            assert response.values == tuple(
+                int(a) * int(b) % modulus for a, b in snapshot
+            )
+            assert all(type(value) is int for value in response.values)
+            assert [tuple(pair) for pair in pairs] == snapshot
+            assert type(pairs[0][0]) is bool
+
+        run(scenario())
+
+    def test_generator_batch_is_accepted(self):
+        async def scenario():
+            async with Server(backend="schoolbook", modulus=997) as server:
+                response = await server.multiply_batch(
+                    (k, k + 1) for k in range(5)
+                )
+            assert response.values == tuple(k * (k + 1) for k in range(5))
+
+        run(scenario())
+
     def test_explicit_default_modulus_coalesces_with_none(self, rng):
         async def scenario():
             modulus = 997

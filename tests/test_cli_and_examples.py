@@ -50,6 +50,12 @@ class TestCliParser:
         arguments = parser.parse_args(["multiply", "0x10", "16"])
         assert arguments.a == 16 and arguments.b == 16
 
+    def test_cluster_router_backend_defaults_to_the_spec_default(self):
+        from repro.engine import EngineSpec
+
+        arguments = build_parser().parse_args(["cluster", "router"])
+        assert arguments.backend == EngineSpec().backend
+
     def test_missing_subcommand_is_an_error(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
