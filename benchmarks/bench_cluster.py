@@ -50,7 +50,7 @@ REQUIRED_SPEEDUP = 1.5
 #: The scaling race therefore pins the r4csa-lut backend explicitly: under
 #: the default ``a*b % p`` spec per-batch compute drops to microseconds,
 #: sockets dominate, and node-count scaling is no longer the thing being
-#: measured (the compiled fleet tier lives in ``bench_compiled.py``).
+#: measured.
 SCALING_REQUESTS = 64
 SCALING_PAIRS = 12
 #: Seed of the kill-recovery trace.

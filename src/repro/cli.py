@@ -1058,13 +1058,11 @@ def _command_cluster_loadtest(arguments: argparse.Namespace) -> int:
 def _command_backends(arguments: argparse.Namespace) -> int:
     infos = [get_backend(name).info for name in available_backends()]
     if arguments.json:
-        from repro.compiled.cache import kernel_cache_stats
         from repro.engine import global_cache_stats
 
         payload = {
             "backends": [info.as_dict() for info in infos],
             "context_cache": global_cache_stats().as_dict(),
-            "compiled_kernel_cache": kernel_cache_stats(),
         }
         print(json.dumps(payload, indent=2))
         return 0
@@ -1078,26 +1076,18 @@ def _command_backends(arguments: argparse.Namespace) -> int:
         tier = info.fidelity or "-"
         if info.macros is not None:
             tier += f" x{info.macros}"
-        codegen = "-"
-        if info.codegen is not None:
-            codegen = str(info.codegen.get("strategy", "?"))
-            if info.codegen.get("numpy_requested") and info.codegen.get(
-                "numpy_available"
-            ):
-                codegen += "+numpy"
         rows.append(
             (
                 info.name,
                 info.kind,
                 tier,
-                codegen,
                 "yes" if info.has_cycle_model else "no",
                 "direct" if info.direct_form else "montgomery",
                 bitwidths,
             )
         )
     print(render_table(
-        ("backend", "kind", "tier", "codegen", "cycle model", "result form",
+        ("backend", "kind", "tier", "cycle model", "result form",
          "native bitwidths"),
         rows,
         title="Engine backends",

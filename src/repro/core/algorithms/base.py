@@ -143,7 +143,7 @@ class ModularMultiplier(abc.ABC):
         ``_multiply_batch(pairs, modulus) -> Sequence[int]`` hook with the
         same precondition; :meth:`repro.engine.Engine.multiply_batch`
         prefers it over the per-element loop when present (``schoolbook``'s
-        one list comprehension, the ``compiled`` backend's kernel loop).
+        one list comprehension).
         """
 
     # ------------------------------------------------------------------ #

@@ -375,10 +375,9 @@ class Engine:
         size (see ``tests/engine/test_engine.py``).
 
         Multipliers that define a ``_multiply_batch(pairs, modulus)`` hook
-        (the ``schoolbook`` one-liner, the ``compiled`` kernel loop) get the
-        whole validated batch in one call instead of a Python-level loop of
-        ``_multiply`` dispatches.  A batch that is already a ``list`` is
-        used as given, not copied.
+        (the ``schoolbook`` one-liner) get the whole validated batch in one
+        call instead of a Python-level loop of ``_multiply`` dispatches.  A
+        batch that is already a ``list`` is used as given, not copied.
         """
         context, hit = self._lookup(modulus)
         p = context.modulus

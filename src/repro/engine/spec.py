@@ -42,8 +42,7 @@ class EngineSpec:
     #: ``"montgomery"``, ...).  The default is ``schoolbook``, whose batch
     #: hook is the plain ``a * b % p`` floor: a spec is what ships to pool
     #: shards and cluster worker nodes, and no registered kernel beats
-    #: that one-liner on BN254-sized operands (the ``compiled`` Barrett
-    #: kernel runs at about 0.6-0.75x of it; see ``docs/compiled.md``).
+    #: that one-liner on BN254-sized operands.
     backend: str = "schoolbook"
     #: Named curve whose base field becomes the default modulus.
     curve: Optional[str] = None

@@ -45,9 +45,14 @@ class TestNodeKillRecovery:
         async def scenario():
             # replication=1 pins the slow modulus to its home node, so
             # the test knows exactly which process to kill mid-batch.
+            # r4csa-lut keeps the batches slow enough to be seen pending:
+            # under the default a*b % p backend they finish in
+            # microseconds, before the home node can be caught busy.
             config = RouterConfig(replication=1, max_retries=2)
             async with LocalFleet(
-                spec=EngineSpec(), workers=2, router_config=config
+                spec=EngineSpec(backend="r4csa-lut"),
+                workers=2,
+                router_config=config,
             ) as fleet:
                 router = fleet.router
                 home = router._ring.home(SLOW_MODULUS)

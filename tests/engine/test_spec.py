@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import pickle
+import random
 
 import pytest
 
 from repro.engine import Engine, EngineSpec, MultiplierBackend
+from repro.engine.backend import available_backends, get_backend
 from repro.errors import ConfigurationError
 
 
@@ -24,6 +26,10 @@ class TestEngineSpec:
         assert twin.cache_size == 1 and engine.cache_size == 1
         assert engine.context() is not twin.context()
 
+    def test_default_spec_builds_its_backend(self):
+        default = EngineSpec().backend
+        assert EngineSpec().validate().build().info.name == default
+
     def test_round_trips_through_dict_and_pickle(self):
         spec = EngineSpec(
             backend="r4csa-lut", curve=None, modulus=997, cache_size=4
@@ -33,10 +39,25 @@ class TestEngineSpec:
         assert EngineSpec.from_dict(
             {"backend": "schoolbook"}
         ) == EngineSpec(backend="schoolbook")
+        rng = random.Random(11)
+        pairs = [(rng.randrange(997), rng.randrange(997)) for _ in range(16)]
+        first, second = spec.build(), spec.build()
+        assert (
+            first.multiply_batch(pairs).values
+            == second.multiply_batch(pairs).values
+            == tuple(a * b % 997 for a, b in pairs)
+        )
 
     def test_validate_rejects_unknown_backend(self):
         with pytest.raises(ConfigurationError, match="unknown backend"):
             EngineSpec(backend="not-a-backend").validate()
+
+    def test_removed_compiled_backend_is_an_unknown_name(self):
+        with pytest.raises(ConfigurationError, match="available") as info:
+            get_backend("compiled")
+        assert str(available_backends()) in str(info.value)
+        with pytest.raises(ConfigurationError, match="unknown backend"):
+            Engine(backend="compiled")
 
     def test_rejects_bad_fields(self):
         with pytest.raises(ConfigurationError):
@@ -55,7 +76,9 @@ class TestEngineSpecDerivation:
             modulus=engine.default_modulus,
             cache_size=16,
         )
-        assert spec.build().default_modulus == engine.default_modulus
+        rebuilt = spec.build()
+        assert rebuilt.info.name == "barrett"
+        assert rebuilt.default_modulus == engine.default_modulus
 
     def test_explicit_modulus_survives(self):
         engine = Engine(backend="montgomery", modulus=65521)

@@ -1,7 +1,7 @@
 """Seeded differential fuzzing: event-driven RTL vs every modeled tier.
 
 The HDL tier's value rests entirely on agreeing with the rest of the
-stack, so this harness (mirroring ``tests/compiled/test_fuzz_parity.py``)
+stack, so this harness (mirroring ``tests/core/test_r4csa_lut_fuzz.py``)
 races four evaluators — the event-driven simulator over the elaborated
 RTL, the cycle-accurate tier, the analytical model and Python's big-int
 oracle — across the geometries most likely to break the datapath:
