@@ -26,6 +26,15 @@ from repro.core.algorithms.montgomery import MontgomeryContext
 from repro.errors import ConfigurationError, ModulusError, OperandRangeError
 
 BN254_P = 0x30644E72E131A029B85045B68181585D97816A916871CA8D3C208C16D87CFD47
+SECP256K1_P = 2**256 - 2**32 - 977
+
+#: Odd moduli from 7 to 256 bits, Mersenne and curve primes included.
+CONSTANT_MODULI = (
+    BN254_P, SECP256K1_P, 97, 101, 251, 997, 65521, (1 << 61) - 1
+)
+
+#: Moduli every per-modulus precomputation must refuse.
+DEGENERATE_MODULI = (2, 1, 0, -5)
 
 ALL_ALGORITHMS = (
     SchoolbookMultiplier,
@@ -163,9 +172,27 @@ class TestMontgomery:
         )
         assert product == (a * b) % BN254_P
 
+    @pytest.mark.parametrize("modulus", CONSTANT_MODULI, ids=hex)
+    def test_constants_satisfy_the_redc_identity(self, modulus):
+        context = MontgomeryContext.create(modulus)
+        assert context.bitwidth == modulus.bit_length()
+        assert context.radix == 1 << modulus.bit_length()
+        assert context.radix_squared == (context.radix**2) % modulus
+        # p' satisfies p * p' == -1 (mod R).
+        assert (modulus * context.modulus_inverse) % context.radix == (
+            context.radix - 1
+        )
+
     def test_even_modulus_rejected(self):
         with pytest.raises(ModulusError):
             MontgomeryContext.create(100)
+
+    @pytest.mark.parametrize("modulus", DEGENERATE_MODULI)
+    def test_degenerate_moduli_rejected(self, modulus):
+        with pytest.raises(ModulusError):
+            MontgomeryContext.create(modulus)
+        with pytest.raises(ModulusError):
+            BarrettContext.create(modulus)
 
     def test_reduce_input_range_checked(self):
         context = MontgomeryContext.create(97)
@@ -189,6 +216,22 @@ class TestBarrett:
     def test_context_mu(self):
         context = BarrettContext.create(97)
         assert context.mu == (1 << (2 * 7)) // 97
+
+    @pytest.mark.parametrize("modulus", CONSTANT_MODULI, ids=hex)
+    def test_constants_are_exact(self, modulus):
+        context = BarrettContext.create(modulus)
+        n = modulus.bit_length()
+        assert context.shift == n
+        assert context.mu == (1 << (2 * n)) // modulus
+        # The largest product of reduced operands, where the quotient
+        # estimate is furthest off.
+        top = (modulus - 1) ** 2
+        assert context.reduce(top) == top % modulus
+
+    def test_even_moduli_have_barrett_constants(self):
+        context = BarrettContext.create(1000)
+        assert context.mu == (1 << 20) // 1000
+        assert BarrettMultiplier().multiply(999, 999, 1000) == 999 * 999 % 1000
 
     def test_reduce_matches_modulo(self, rng):
         context = BarrettContext.create(65521)

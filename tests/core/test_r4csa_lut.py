@@ -7,10 +7,17 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import R4CSALutContext, R4CSALutMultiplier
 from repro.core.algorithms.r4csa_lut import OVERFLOW_LUT_ENTRIES
+from repro.core.algorithms.schoolbook import SchoolbookMultiplier
+from repro.core.luts import build_overflow_lut
 from repro.errors import OperandRangeError
 
 BN254_P = 0x30644E72E131A029B85045B68181585D97816A916871CA8D3C208C16D87CFD47
 SECP256K1_P = 2**256 - 2**32 - 977
+
+#: Odd moduli from 7 to 256 bits, Mersenne and curve primes included.
+LUT_MODULI = (
+    BN254_P, SECP256K1_P, 97, 101, 251, 997, 65521, (1 << 61) - 1
+)
 
 
 class TestCorrectness:
@@ -42,6 +49,18 @@ class TestCorrectness:
         assert multiplier.multiply(0, 12345, BN254_P) == 0
         assert multiplier.multiply(1, 12345, BN254_P) == 12345
         assert multiplier.multiply(BN254_P - 1, 1, BN254_P) == BN254_P - 1
+
+    @pytest.mark.parametrize(
+        "modulus", (3, 5, 997, BN254_P, SECP256K1_P), ids=hex
+    )
+    def test_edge_operands_match_the_batch_floor(self, modulus):
+        """0, 1, p-1 and p//2: the extremes of the final reduction."""
+        edge = [0, 1, modulus - 1, modulus // 2]
+        pairs = [(a, b) for a in edge for b in edge]
+        oracle = [a * b % modulus for a, b in pairs]
+        multiplier = R4CSALutMultiplier()
+        assert [multiplier.multiply(a, b, modulus) for a, b in pairs] == oracle
+        assert SchoolbookMultiplier()._multiply_batch(pairs, modulus) == oracle
 
     @given(
         st.integers(3, 2**64 - 1),
@@ -160,6 +179,15 @@ class TestTraceAndInvariants:
                 + (snapshot.pending_overflow << context.register_width)
             )
             assert resolved % modulus == running
+
+    @pytest.mark.parametrize("modulus", LUT_MODULI, ids=hex)
+    def test_overflow_lut_matches_the_core_table(self, modulus):
+        context = R4CSALutMultiplier().context_for(modulus - 1, modulus)
+        reference = build_overflow_lut(
+            modulus, modulus.bit_length() + 1, entry_count=OVERFLOW_LUT_ENTRIES
+        )
+        assert context.overflow_lut.entries == reference.entries
+        assert len(context.overflow_lut) == OVERFLOW_LUT_ENTRIES
 
     def test_context_exposes_both_luts(self):
         context = R4CSALutContext.create(77, 65521)

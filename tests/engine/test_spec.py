@@ -88,3 +88,23 @@ class TestEngineSpecDerivation:
         engine = Engine(backend=MultiplierBackend("montgomery"))
         with pytest.raises(ConfigurationError, match="unregistered instance"):
             engine.spec()
+
+
+class TestSpecRoundTripEveryBackend:
+    """The rebuild contract pool shards and cluster workers rely on."""
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_spec_rebuilds_identical_engines(self, backend):
+        spec = EngineSpec(backend=backend, modulus=997, cache_size=4)
+        assert EngineSpec.from_dict(spec.as_dict()) == spec
+        assert pickle.loads(pickle.dumps(spec)) == spec
+        rng = random.Random(backend)  # str seeds are stable across processes
+        pairs = [(rng.randrange(997), rng.randrange(997)) for _ in range(16)]
+        first, second = spec.build(), spec.build()
+        assert first.info.name == second.info.name == backend
+        assert (
+            first.multiply_batch(pairs).values
+            == second.multiply_batch(pairs).values
+            == tuple(a * b % 997 for a, b in pairs)
+        )
+        assert first.spec() == spec
