@@ -12,6 +12,14 @@ read through the same narrow interface the hardware has (full-row writes via
 the write port, single- or multi-row reads via the read port), every access
 is counted, and illegal access patterns (activating more rows than the cell
 can tolerate, mixing a 6T cell with multi-row reads) are detected.
+
+A read-port access is word-wide: :meth:`SramArray.activate_rows` returns a
+:class:`BitlineReadout` holding the activated rows' stored words, the same
+information the bitlines carry.  Every column's conducting-cell count
+follows from those words, so the per-column view
+(:attr:`BitlineReadout.column_counts`) is derived on demand for inspection,
+and the sense-amplifier bank resolves a whole row with a few big-int
+operations instead of one call per column.
 """
 
 from __future__ import annotations
@@ -34,24 +42,35 @@ class BitlineReadout:
     ----------
     activated_rows:
         The row indices whose read word lines were raised.
-    column_counts:
-        For every column, the number of activated cells storing a one
-        (0..3).  This is the digital abstraction of the read-bitline
-        discharge level that the sense-amplifier module resolves.
+    words:
+        The word stored in each activated row, in activation order.  A
+        column's read bitline discharges once for every word with a one in
+        that column.
     columns:
         Width of the access in bits.
     """
 
     activated_rows: Tuple[int, ...]
-    column_counts: Tuple[int, ...]
+    words: Tuple[int, ...]
     columns: int
+
+    @property
+    def column_counts(self) -> Tuple[int, ...]:
+        """For every column, the number of activated cells storing a one.
+
+        This is the digital abstraction of the read-bitline discharge level
+        (0..3 on an 8T array) that the sense-amplifier module resolves.
+        """
+        return tuple(
+            sum((word >> column) & 1 for word in self.words)
+            for column in range(self.columns)
+        )
 
     def wired_or(self) -> int:
         """Columns with at least one conducting cell (a plain multi-row OR)."""
         value = 0
-        for index, count in enumerate(self.column_counts):
-            if count:
-                value |= 1 << index
+        for word in self.words:
+            value |= word
         return value
 
     def exact_value(self) -> int:
@@ -61,7 +80,7 @@ class BitlineReadout:
                 "exact_value() is only defined for single-row reads; "
                 f"{len(self.activated_rows)} rows were activated"
             )
-        return self.wired_or()
+        return self.words[0]
 
 
 class SramArray:
@@ -142,8 +161,9 @@ class SramArray:
     def activate_rows(self, rows: Sequence[int]) -> BitlineReadout:
         """Activate one or more read word lines simultaneously.
 
-        Returns the per-column conducting-cell counts (the digital view of
-        the bitline discharge levels).  Raises :class:`ReadDisturbError` if
+        Returns the activated rows' stored words, from which every column's
+        conducting-cell count (the digital view of the bitline discharge
+        level) follows.  Raises :class:`ReadDisturbError` if
         the access pattern is unsafe for the configured cell and the array
         is in strict mode.
         """
@@ -163,15 +183,9 @@ class SramArray:
                     f"exceeds the safe limit of {self.cell.max_simultaneous_reads}"
                 )
 
-        words = [self._data[row] for row in unique]
-        counts = tuple(
-            sum((word >> column) & 1 for word in words)
-            for column in range(self.cols)
-        )
+        words = tuple(self._data[row] for row in unique)
         self.stats.record_read(len(unique), compute=len(unique) > 1)
-        return BitlineReadout(
-            activated_rows=unique, column_counts=counts, columns=self.cols
-        )
+        return BitlineReadout(activated_rows=unique, words=words, columns=self.cols)
 
     # ------------------------------------------------------------------ #
     # debug / inspection (not counted as hardware accesses)

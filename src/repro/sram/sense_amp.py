@@ -14,14 +14,23 @@ functions a carry-save adder needs fall out combinationally:
 This module models the latch sense amplifier (including offset and optional
 noise, so sensing-margin ablations are possible) and the per-column logic-SA
 block, and exposes a whole-row evaluation used by the accelerator.
+
+The whole-row evaluation is word-wide.  Without noise an amplifier's
+decision depends only on the column's conducting-cell count, so the module
+resolves each possible count (0 through the number of activated rows) once
+through the same amplifier comparisons, builds one column mask per count
+from the activated rows' words with bitwise carry-save updates, and ORs the
+masks into the XOR3 and MAJ words.  With noise every comparison draws its
+own Gaussian sample, so each column is resolved on its own, in column
+order.  Either way an access counts one evaluation per amplifier per column.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from repro.errors import ConfigurationError, SenseMarginError
 from repro.sram.array import BitlineReadout
@@ -131,7 +140,6 @@ class LogicSenseAmpResult:
 
     xor3: int
     maj: int
-    thermometer_levels: Tuple[int, ...]
 
     def as_tuple(self) -> Tuple[int, int]:
         """The two carry-save outputs ``(xor3, maj)``."""
@@ -141,9 +149,11 @@ class LogicSenseAmpResult:
 class LogicSenseAmpModule:
     """One logic-SA block per column: three SAs plus decode logic.
 
-    ``evaluate`` maps a :class:`BitlineReadout` (per-column conducting-cell
-    counts) to the row-wide XOR3 and MAJ words, modelling each column's
-    three sense-amplifier comparisons explicitly.
+    ``evaluate`` maps a :class:`BitlineReadout` (the activated rows' words)
+    to the row-wide XOR3 and MAJ words.  Each column's sense-amplifier
+    comparisons are those of :meth:`column_level`; without noise they are
+    made once per conducting-cell count and applied to every column with
+    that count at once.
     """
 
     def __init__(
@@ -197,18 +207,41 @@ class LogicSenseAmpModule:
                 f"{self.columns}-column sense-amplifier bank"
             )
         self.accesses += 1
+        if self.parameters.noise_sigma_v:
+            return self._evaluate_per_column(readout)
+        # One count -> level table per access; the bank still makes every
+        # column's comparisons, so evaluations count them all.
+        amplifier = self._amplifier
+        evaluations = amplifier.evaluations
+        levels = [self.column_level(count) for count in range(len(readout.words) + 1)]
+        amplifier.evaluations = (
+            evaluations + self.parameters.sense_amps_per_bitline * self.columns
+        )
+        # exact[k]: the columns where exactly k of the words seen so far
+        # store a one.
+        exact = [(1 << self.columns) - 1] + [0] * len(readout.words)
+        for seen, word in enumerate(readout.words):
+            for count in range(seen + 1, 0, -1):
+                exact[count] = (exact[count] & ~word) | (exact[count - 1] & word)
+            exact[0] &= ~word
+        xor3_word = maj_word = 0
+        for level, columns in zip(levels, exact):
+            xor3_bit, maj_bit = self.decode(level)
+            if xor3_bit:
+                xor3_word |= columns
+            if maj_bit:
+                maj_word |= columns
+        return LogicSenseAmpResult(xor3=xor3_word, maj=maj_word)
+
+    def _evaluate_per_column(self, readout: BitlineReadout) -> LogicSenseAmpResult:
+        """Resolve every column on its own, in column order (noisy sensing)."""
         xor3_word = 0
         maj_word = 0
-        levels: List[int] = []
         for column, count in enumerate(readout.column_counts):
-            level = self.column_level(count)
-            levels.append(level)
-            xor3_bit, maj_bit = self.decode(level)
+            xor3_bit, maj_bit = self.decode(self.column_level(count))
             xor3_word |= xor3_bit << column
             maj_word |= maj_bit << column
-        return LogicSenseAmpResult(
-            xor3=xor3_word, maj=maj_word, thermometer_levels=tuple(levels)
-        )
+        return LogicSenseAmpResult(xor3=xor3_word, maj=maj_word)
 
     # ------------------------------------------------------------------ #
     # robustness analysis helpers
