@@ -11,8 +11,8 @@ Two claims of the layered simulation core, measured and emitted as
    the sign's exact multiplication count (legitimate because the ModSRAM
    schedule is data-independent — asserted by
    ``tests/modsram/test_accelerator.py``).  Set ``BENCH_FULL=1`` to run the
-   true cycle-accurate sign end to end as well (~45 s: 4960 multiplications
-   at ~9 ms each).
+   true cycle-accurate sign end to end as well (``sign_multiplications``
+   times ``cycle_per_multiply_seconds``, both in the JSON).
 
 2. **Chip scale-out** — throughput versus macro count for the
    LUT-reuse-aware chip scheduler on the ECDSA and NTT streams.

@@ -5,9 +5,9 @@ cycle-accurate model (:mod:`repro.modsram.kernel`) on a plain register file:
 rows are Python integers, the three-row logic-SA access is two bitwise
 expressions (XOR3 and MAJ), and nothing per-cycle is materialised.  The
 product is therefore bit-identical to the cycle tier by construction, while
-a 256-bit multiplication costs about 2 ms instead of the cycle tier's ~9–13
-ms (2-vCPU x86-64, CPython 3.11) — this is the tier the full-workload
-studies (ECDSA signing, NTT/MSM batches, chip scale-out) run on.
+a multiplication skips the SRAM array and sense-amplifier model and so runs
+faster than on the cycle tier — this is the tier the full-workload studies
+(ECDSA signing, NTT/MSM batches, chip scale-out) run on.
 
 What it reports: the product, the LUT-reuse flag and *operation counts*
 (word-line writes/reads, logic-SA accesses, near-memory cycles) accumulated
