@@ -38,18 +38,19 @@ returning bit-identical products —
 * ``Engine(backend="modsram")`` — **cycle** tier: word-line-accurate SRAM
   simulation (767 main-loop cycles at 256 bits on the paper schedule);
 * ``Engine(backend="modsram-fast")`` — **analytical** tier: the same exact
-  cycle reports from closed-form schedule algebra at ~100x the speed (this
-  is the tier for full workloads: ECDSA signing, NTTs, MSM batches);
-* ``ModSRAMFastBackend(fidelity="functional")`` — **functional** tier:
-  products and operation counts only, no cycle model at all.
+  cycle reports from closed-form schedule algebra, several times faster
+  (the tier for full workloads: ECDSA signing, NTTs, MSM batches);
+* ``Engine(backend="modsram-hdl")`` — **hdl** tier: the elaborated RTL on
+  the event-driven simulator, cycle counts measured from the netlist.
 
 ``Engine(backend="modsram-chip")`` scales out to an N-macro chip whose
 scheduler dispatches the multiplication stream with LUT-reuse-aware
-placement (``ModSRAMChipBackend(macros=16)`` for custom sizes); the
-``chip-scaling`` experiment and ``repro chip`` sweep throughput versus
-macro count on real workload streams.  Backend capability metadata
-(``info.fidelity`` / ``info.macros``) distinguishes the tiers in
-``repro backends --json``.
+placement (``ModSRAMBackend(fidelity="analytical", macros=16)`` for custom
+sizes); the ``chip-scaling`` experiment and ``repro chip`` sweep throughput
+versus macro count on real workload streams.  All four names are one
+:class:`~repro.engine.ModSRAMBackend` class, configured by ``fidelity`` and
+``macros``; its capability metadata (``info.fidelity`` / ``info.macros``)
+distinguishes them in ``repro backends --json``.
 
 Reproducing the paper
 ---------------------

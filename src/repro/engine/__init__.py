@@ -23,8 +23,6 @@ from repro.engine.backend import (
     BackendInfo,
     EngineContext,
     ModSRAMBackend,
-    ModSRAMChipBackend,
-    ModSRAMFastBackend,
     MultiplierBackend,
     PimBaselineBackend,
     available_backends,
@@ -51,8 +49,6 @@ __all__ = [
     "EngineSpec",
     "EngineStats",
     "ModSRAMBackend",
-    "ModSRAMChipBackend",
-    "ModSRAMFastBackend",
     "MultiplierBackend",
     "MultiplyResult",
     "PimBaselineBackend",

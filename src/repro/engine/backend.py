@@ -23,7 +23,7 @@ come from the published design data.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.algorithms.base import (
@@ -40,8 +40,6 @@ __all__ = [
     "Backend",
     "MultiplierBackend",
     "ModSRAMBackend",
-    "ModSRAMChipBackend",
-    "ModSRAMFastBackend",
     "PimBaselineBackend",
     "register_backend",
     "get_backend",
@@ -65,8 +63,8 @@ class BackendInfo:
     direct_form: bool
     #: Bitwidths the original design natively supports (``None`` = any).
     supported_bitwidths: Optional[Tuple[int, ...]] = None
-    #: Simulation fidelity tier of accelerator backends (``"cycle"``,
-    #: ``"analytical"``, ``"functional"``; ``None`` for non-tiered backends).
+    #: Simulation fidelity tier of the ModSRAM backends (``"cycle"``,
+    #: ``"analytical"``, ``"hdl"``; ``None`` for non-tiered backends).
     fidelity: Optional[str] = None
     #: Macro count of chip-level backends (``None`` for single-macro ones).
     macros: Optional[int] = None
@@ -160,22 +158,18 @@ class MultiplierBackend(Backend):
         multiplier_name: str,
         kind: str = "software",
         supported_bitwidths: Optional[Tuple[int, ...]] = None,
-        info_fidelity: Optional[str] = None,
-        info_macros: Optional[int] = None,
         **multiplier_kwargs: Any,
     ) -> None:
         self._multiplier_cls = get_multiplier(multiplier_name)
         self._multiplier_kwargs = dict(multiplier_kwargs)
         probe = self._new_multiplier()
         self.info = BackendInfo(
-            name=multiplier_name,
+            name=probe.name,
             description=probe.description or type(probe).__doc__ or "",
             kind=kind,
             has_cycle_model=probe.cycles(256) is not None,
             direct_form=probe.direct_form,
             supported_bitwidths=supported_bitwidths,
-            fidelity=info_fidelity,
-            macros=info_macros,
         )
 
     def _new_multiplier(self) -> ModularMultiplier:
@@ -201,70 +195,35 @@ class MultiplierBackend(Backend):
 
 
 class ModSRAMBackend(MultiplierBackend):
-    """The cycle-accurate ModSRAM accelerator behind the backend interface.
+    """The simulated ModSRAM macro behind the backend interface.
 
-    Warming a context provisions the simulated macro for the modulus
-    bitwidth; the adapter's cycle reports stay reachable through
-    ``context.multiplier.reports`` for callers that want measured rather
-    than analytic cycle counts.
-    """
-
-    def __init__(self, config: Optional[object] = None) -> None:
-        import repro.modsram.multiplier  # noqa: F401 - registers the adapters
-
-        kwargs = {"config": config} if config is not None else {}
-        super().__init__(
-            "modsram", kind="accelerator", info_fidelity="cycle", **kwargs
-        )
-
-
-class ModSRAMFastBackend(MultiplierBackend):
-    """The fast fidelity tiers (``modsram-fast``) behind the backend interface.
-
-    Products are kernel-identical to ``modsram``; the default
-    ``fidelity="analytical"`` keeps the exact cycle model while
-    ``fidelity="functional"`` trades it away for raw throughput (the
-    backend then reports ``has_cycle_model=False``).
+    One class for every deployment shape: ``fidelity`` picks the simulation
+    tier (``"cycle"``, ``"analytical"`` or ``"hdl"``) and ``macros=N`` runs
+    an N-macro chip of analytical macros, so a custom chip is
+    ``ModSRAMBackend(fidelity="analytical", macros=16)``.  The registry
+    holds four configured instances: ``modsram`` (cycle), ``modsram-fast``
+    (analytical), ``modsram-chip`` (analytical, 4 macros) and
+    ``modsram-hdl``.  Warming a context provisions the macro or chip for
+    the modulus bitwidth; the adapter's cycle reports stay reachable
+    through ``context.multiplier.reports``, and a chip's schedule through
+    ``context.multiplier.activity()``.
     """
 
     def __init__(
-        self, config: Optional[object] = None, fidelity: str = "analytical"
+        self,
+        config: Optional[object] = None,
+        fidelity: str = "cycle",
+        macros: Optional[int] = None,
     ) -> None:
-        import repro.modsram.multiplier  # noqa: F401 - registers the adapters
-        from repro.modsram.fidelity import Fidelity
+        import repro.modsram.multiplier  # noqa: F401 - registers the adapter
 
-        tier = Fidelity.coerce(fidelity)
-        kwargs: Dict[str, Any] = {"fidelity": tier}
+        kwargs: Dict[str, Any] = {"fidelity": fidelity, "macros": macros}
         if config is not None:
             kwargs["config"] = config
-        super().__init__(
-            "modsram-fast",
-            kind="accelerator",
-            info_fidelity=tier.value,
-            **kwargs,
-        )
-
-
-class ModSRAMChipBackend(MultiplierBackend):
-    """An N-macro ModSRAM chip (``modsram-chip``) behind the backend interface.
-
-    Each multiplication is dispatched LUT-reuse-aware across ``macros``
-    analytical macros; ``context.multiplier.activity()`` exposes the
-    chip-level schedule (per-macro load, reuse rate, throughput).
-    """
-
-    def __init__(self, config: Optional[object] = None, macros: int = 4) -> None:
-        import repro.modsram.multiplier  # noqa: F401 - registers the adapters
-
-        kwargs: Dict[str, Any] = {"macros": macros}
-        if config is not None:
-            kwargs["config"] = config
-        super().__init__(
-            "modsram-chip",
-            kind="accelerator",
-            info_fidelity="analytical",
-            info_macros=macros,
-            **kwargs,
+        super().__init__("modsram", kind="accelerator", **kwargs)
+        probe = self._new_multiplier()
+        self.info = replace(
+            self.info, fidelity=probe.fidelity.value, macros=probe.macros
         )
 
 
@@ -326,27 +285,21 @@ def _build_default_backends() -> None:
     global _DEFAULTS_BUILT
     if _DEFAULTS_BUILT:
         return
-    # Importing these modules registers the multiplier adapter and the
-    # Table 3 design specs as side effects.
+    # Importing this module registers the Table 3 design specs as a side
+    # effect.
     import repro.baselines  # noqa: F401
-    import repro.modsram.multiplier  # noqa: F401
     from repro.baselines.base import available_designs
-    from repro.hdl.multiplier import ModSRAMHdlBackend
 
-    # Backends needing a richer adapter than the plain MultiplierBackend.
-    special_backends = {
-        "modsram": ModSRAMBackend,
-        "modsram-fast": ModSRAMFastBackend,
-        "modsram-chip": ModSRAMChipBackend,
-        "modsram-hdl": ModSRAMHdlBackend,
-    }
+    # The ModSRAM shapes first: one adapter class, configured four ways.
+    for backend in (
+        ModSRAMBackend(),
+        ModSRAMBackend(fidelity="analytical"),
+        ModSRAMBackend(fidelity="analytical", macros=4),
+        ModSRAMBackend(fidelity="hdl"),
+    ):
+        _REGISTRY[backend.info.name] = backend
     for name in available_multipliers():
-        if name in _REGISTRY:
-            continue
-        backend_cls = special_backends.get(name)
-        if backend_cls is not None:
-            _REGISTRY[name] = backend_cls()
-        else:
+        if name not in _REGISTRY:
             _REGISTRY[name] = MultiplierBackend(name)
     for key in available_designs():
         if key == "modsram":  # covered by the accelerator backend above

@@ -1,6 +1,6 @@
 """RTL elaboration + event-driven co-simulation for the ModSRAM macro.
 
-The fourth fidelity tier: the R4CSA-LUT schedule of
+The ``hdl`` fidelity tier: the R4CSA-LUT schedule of
 :mod:`repro.modsram.kernel` elaborated into a structural hardware IR
 (:mod:`repro.hdl.ir` / :mod:`repro.hdl.elaborate`), emitted as
 synthesizable Verilog-2001 (:mod:`repro.hdl.verilog`) and executed by a
@@ -26,7 +26,6 @@ from repro.hdl.eventsim import (
     HdlRunTrace,
 )
 from repro.hdl.ir import HdlError, Module
-from repro.hdl.multiplier import ModSRAMHdlBackend, ModSRAMHdlMultiplier
 from repro.hdl.verilog import design_file_names, emit_design, emit_module
 
 __all__ = [
@@ -39,8 +38,6 @@ __all__ = [
     "HdlRunTrace",
     "HdlError",
     "Module",
-    "ModSRAMHdlBackend",
-    "ModSRAMHdlMultiplier",
     "design_file_names",
     "emit_design",
     "emit_module",

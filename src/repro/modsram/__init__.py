@@ -2,17 +2,18 @@
 
 The package is a *layered simulation core*: one R4CSA-LUT algorithm body
 (:mod:`repro.modsram.kernel`) executed at three fidelity tiers —
-``functional`` (:class:`FunctionalModSRAM`: product + operation counts),
 ``analytical`` (:class:`AnalyticalModSRAM`: exact closed-form cycle/energy
-reports) and ``cycle`` (:class:`ModSRAMAccelerator`: the word-line-accurate
-SRAM model with pluggable :class:`TraceSink` collection) — selected via
+reports), ``cycle`` (:class:`ModSRAMAccelerator`: the word-line-accurate
+SRAM model with pluggable :class:`TraceSink` collection) and ``hdl`` (the
+elaborated RTL on the :mod:`repro.hdl` event simulator) — selected via
 :func:`build_simulator`.  On top of the analytical tier,
 :class:`Chip` scales the macro out to an N-macro chip whose scheduler
 dispatches multiplication streams with LUT-reuse-aware placement.  The
 surrounding modules provide the memory map, the near-memory datapath, the
-controller FSM, the area model behind Figure 5 and the multiplier adapters
-(``modsram``, ``modsram-fast``, ``modsram-chip``) that plug the tiers into
-any code written against the generic multiplier interface.
+controller FSM, the area model behind Figure 5 and the one multiplier
+adapter, :class:`ModSRAMMultiplier` (``fidelity=``, ``macros=``), that
+plugs any tier or chip into code written against the generic multiplier
+interface.
 """
 
 from repro.modsram.accelerator import (
@@ -20,7 +21,11 @@ from repro.modsram.accelerator import (
     ModSRAMAccelerator,
     MultiplicationResult,
 )
-from repro.modsram.analytical import AnalyticalCostModel, AnalyticalModSRAM
+from repro.modsram.analytical import (
+    AnalyticalCostModel,
+    AnalyticalModSRAM,
+    FastHost,
+)
 from repro.modsram.area import (
     PAPER_AREA_MM2,
     PAPER_AREA_OVERHEAD_PERCENT,
@@ -43,14 +48,9 @@ from repro.modsram.geometry import SUPPORTED_RADICES, MacroGeometry
 from repro.modsram.controller import Controller, ControllerState, CycleBudget
 from repro.modsram.datapath import DatapathStats, NearMemoryDatapath
 from repro.modsram.fidelity import Fidelity, build_simulator
-from repro.modsram.functional import FastHost, FunctionalModSRAM, FunctionalResult
 from repro.modsram.kernel import KernelHost, KernelOutcome, LutResidency, run_kernel
 from repro.modsram.memory_map import MemoryMap, MemoryUtilization
-from repro.modsram.multiplier import (
-    ModSRAMChipMultiplier,
-    ModSRAMFastMultiplier,
-    ModSRAMMultiplier,
-)
+from repro.modsram.multiplier import ModSRAMMultiplier
 from repro.modsram.scheduler import (
     PointOperationSchedule,
     PointOperationScheduler,
@@ -89,17 +89,13 @@ __all__ = [
     "ExecutionTrace",
     "FastHost",
     "Fidelity",
-    "FunctionalModSRAM",
-    "FunctionalResult",
     "KernelHost",
     "KernelOutcome",
     "LutResidency",
     "MemoryMap",
     "MemoryUtilization",
     "ModSRAMAccelerator",
-    "ModSRAMChipMultiplier",
     "ModSRAMConfig",
-    "ModSRAMFastMultiplier",
     "ModSRAMMultiplier",
     "ModSRAMSystem",
     "MultiplicationJob",

@@ -4,14 +4,13 @@
 per-phase cycle counts the controller FSM would measure, and the array
 access profile the energy model consumes — without simulating a single word
 line.  :class:`AnalyticalModSRAM` combines that algebra with the shared
-kernel running on the fast register-file host
-(:class:`~repro.modsram.functional.FastHost`), so it returns the same
-:class:`~repro.modsram.report.MultiplicationResult` shape as the
+kernel running on a register-file host (:class:`FastHost`), so it returns
+the same :class:`~repro.modsram.report.MultiplicationResult` shape as the
 cycle-accurate tier with *exactly* matching cycle reports (asserted field by
-field in ``tests/modsram/test_fidelity.py``) at functional-tier speed.  The
-only quantities taken from the kernel run rather than closed form are the
-data-dependent ones: LUT reuse, pathological extra overflow folds and the
-final conditional-subtraction count.
+field in ``tests/modsram/test_fidelity.py``) without simulating the SRAM
+array.  The only quantities taken from the kernel run rather than closed
+form are the data-dependent ones: LUT reuse, pathological extra overflow
+folds and the final conditional-subtraction count.
 
 Geometry — array shape, banking, radix, LUT sizing — is a first-class
 constructor parameter (:class:`~repro.modsram.geometry.MacroGeometry`); the
@@ -24,16 +23,24 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.errors import ConfigurationError
+from repro.instrumentation import OperationCounter
 from repro.modsram.config import ModSRAMConfig
-from repro.modsram.functional import FastHost
+from repro.modsram.controller import ControllerState
+from repro.modsram.datapath import NearMemoryDatapath
 from repro.modsram.geometry import MacroGeometry, _default_geometry
-from repro.modsram.kernel import run_kernel
+from repro.modsram.kernel import (
+    NMC_COUNTER_OF_KIND,
+    KernelHost,
+    LutResidency,
+    run_kernel,
+)
+from repro.modsram.memory_map import MemoryMap
 from repro.modsram.report import CycleReport, MultiplicationResult
-from repro.modsram.trace import ExecutionTrace
+from repro.modsram.trace import ExecutionTrace, Phase
 from repro.sram.energy import EnergyBreakdown
 from repro.sram.stats import ArrayStats
 
-__all__ = ["AnalyticalCostModel", "AnalyticalModSRAM"]
+__all__ = ["AnalyticalCostModel", "AnalyticalModSRAM", "FastHost"]
 
 #: Row writes issued while loading operands (multiplicand, modulus, sum,
 #: carry clears, multiplier); the multiplier read-back costs one more cycle.
@@ -194,6 +201,81 @@ class AnalyticalCostModel:
         return self.config.energy.from_stats(
             self.array_stats(reused, extra_folds), register_bits_written
         )
+
+
+class FastHost(KernelHost):
+    """Kernel host backed by a plain register file instead of an SRAM array.
+
+    Rows live in a list of integers; the logic-SA access is computed
+    bitwise.  Access statistics accumulate into the same
+    :class:`ArrayStats` shape the behavioural array produces, so energy
+    models and reports can consume either tier interchangeably.
+    """
+
+    def __init__(self, config: ModSRAMConfig) -> None:
+        self.config = config
+        self.memory_map = MemoryMap(config)
+        self.datapath = NearMemoryDatapath(config)
+        self.lut_residency = LutResidency()
+        self.stats = ArrayStats()
+        self.counter = OperationCounter("modsram-analytical")
+        self._rows: List[int] = [0] * config.rows
+        self._columns = config.columns
+
+    # -- kernel-host interface ---------------------------------------- #
+    def transition(self, state: ControllerState) -> None:
+        """No controller FSM at this tier."""
+
+    def begin_iteration(self, iteration: int) -> None:
+        """No per-iteration sequencing checks at this tier."""
+
+    def write_row(
+        self,
+        phase: Phase,
+        row: int,
+        value: int,
+        iteration: Optional[int] = None,
+        note: str = "",
+    ) -> None:
+        self._rows[row] = value
+        self.stats.record_write(self._columns)
+        self.counter.increment("memory_write")
+
+    def read_row(
+        self,
+        phase: Phase,
+        row: int,
+        iteration: Optional[int] = None,
+        note: str = "",
+    ) -> int:
+        self.stats.record_read(1, compute=False)
+        self.counter.increment("memory_read")
+        return self._rows[row]
+
+    def nmc_cycle(
+        self,
+        phase: Phase,
+        note: str,
+        iteration: Optional[int] = None,
+        kind: str = "nmc",
+    ) -> None:
+        counter_name = NMC_COUNTER_OF_KIND.get(kind)
+        if counter_name is not None:
+            self.counter.increment(counter_name)
+
+    def imc_access(
+        self,
+        phase: Phase,
+        rows: Tuple[int, int, int],
+        iteration: int,
+        digit: Optional[int] = None,
+        overflow_index: Optional[int] = None,
+    ) -> Tuple[int, int]:
+        data = self._rows
+        r0, r1, r2 = data[rows[0]], data[rows[1]], data[rows[2]]
+        self.stats.record_read(3, compute=True)
+        self.counter.increment("imc_access")
+        return r0 ^ r1 ^ r2, (r0 & r1) | (r0 & r2) | (r1 & r2)
 
 
 class AnalyticalModSRAM:

@@ -3,9 +3,6 @@
 One algorithm body (:mod:`repro.modsram.kernel`), three interchangeable
 execution tiers:
 
-``functional``
-    Product + operation counts only; no SRAM substrate, no cycle model.
-    (:class:`~repro.modsram.functional.FunctionalModSRAM`)
 ``analytical``
     Product + exact closed-form cycle/energy reports; no per-cycle events.
     (:class:`~repro.modsram.analytical.AnalyticalModSRAM`)
@@ -20,9 +17,11 @@ execution tiers:
     (:class:`~repro.hdl.eventsim.HdlModSRAM`)
 
 All three expose ``multiply(a, b, modulus)`` / ``multiply_many`` returning
-objects with a ``.product``; the analytical and cycle tiers additionally
-return a ``.report`` (:class:`~repro.modsram.report.CycleReport`) that the
-tests require to match field by field.
+a :class:`~repro.modsram.report.MultiplicationResult` whose ``.product``
+and ``.report`` (:class:`~repro.modsram.report.CycleReport`) the tests
+require to match field by field.  :func:`build_simulator` is the one tier
+switch; :class:`~repro.modsram.multiplier.ModSRAMMultiplier` and the engine
+backends built on it go through it.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from repro.errors import ConfigurationError
 from repro.modsram.accelerator import ModSRAMAccelerator
 from repro.modsram.analytical import AnalyticalModSRAM
 from repro.modsram.config import ModSRAMConfig
-from repro.modsram.functional import FunctionalModSRAM
 
 __all__ = ["Fidelity", "build_simulator"]
 
@@ -42,7 +40,6 @@ __all__ = ["Fidelity", "build_simulator"]
 class Fidelity(str, Enum):
     """How much of the hardware one simulation run resolves."""
 
-    FUNCTIONAL = "functional"
     ANALYTICAL = "analytical"
     CYCLE = "cycle"
     HDL = "hdl"
@@ -73,16 +70,6 @@ def build_simulator(
         from repro.hdl.eventsim import HdlModSRAM
 
         return HdlModSRAM(config)
-    builders = {
-        Fidelity.FUNCTIONAL: FunctionalModSRAM,
-        Fidelity.ANALYTICAL: AnalyticalModSRAM,
-        Fidelity.CYCLE: ModSRAMAccelerator,
-    }
-    try:
-        builder = builders[tier]
-    except KeyError:
-        raise ConfigurationError(
-            f"no simulator registered for fidelity {tier.value!r}; valid "
-            f"tiers are {sorted(member.value for member in Fidelity)}"
-        ) from None
-    return builder(config)
+    if tier is Fidelity.ANALYTICAL:
+        return AnalyticalModSRAM(config)
+    return ModSRAMAccelerator(config)

@@ -12,7 +12,7 @@ The default geometry reproduces the paper's constants exactly: with
 the pre-refactor closed forms (767 main-loop cycles at the paper point).
 
 Only the *closed-form* tier understands every geometry; the executable
-tiers (cycle / hdl / functional kernel) implement the radix-4 single-bank
+tiers (cycle / hdl / the analytical tier's kernel) implement the radix-4 single-bank
 design and reject anything else.
 """
 

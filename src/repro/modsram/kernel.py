@@ -7,12 +7,11 @@ additions, finalise — against interchangeable execution hosts:
 * the **cycle** tier (:class:`~repro.modsram.accelerator.ModSRAMAccelerator`)
   executes every step on the simulated SRAM substrate: word-line writes,
   three-row logic-SA accesses, the controller FSM, the decoders;
-* the **functional** tier (:mod:`repro.modsram.functional`) executes the
-  same steps on a plain register file with bitwise XOR3/MAJ, producing the
-  identical product and operation counts at a fraction of the cost;
-* the **analytical** tier (:mod:`repro.modsram.analytical`) reuses the
-  functional host and derives exact cycle/energy reports from closed-form
-  schedule algebra instead of per-cycle simulation.
+* the **analytical** tier (:mod:`repro.modsram.analytical`) executes the
+  same steps on a plain register file (:class:`~repro.modsram.analytical.FastHost`)
+  with bitwise XOR3/MAJ, producing the identical product and operation
+  counts, and derives exact cycle/energy reports from closed-form schedule
+  algebra instead of per-cycle simulation.
 
 Because the tiers share this body, product parity across fidelity levels is
 structural rather than coincidental (``tests/modsram/test_fidelity.py``

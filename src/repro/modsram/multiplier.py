@@ -1,22 +1,26 @@
-"""Adapters exposing the simulation tiers as ModularMultipliers.
+"""The ModSRAM macro as a ModularMultiplier, at any simulation tier.
 
 This lets the ECC field layer, the ZKP kernels and the algorithm test suite
 treat the simulated hardware exactly like any software algorithm: the same
-interface, the same operand preconditions, the same oracle checks.  Three
-adapters are registered, one per deployment shape:
+interface, the same operand preconditions, the same oracle checks.  One
+adapter, :class:`ModSRAMMultiplier`, serves every deployment shape; its
+``fidelity`` picks the tier through :func:`~repro.modsram.fidelity.build_simulator`
+and ``macros`` swaps the single macro for an N-macro
+:class:`~repro.modsram.chip.Chip`.  Each shape has a registry name:
 
 ``modsram``
-    The cycle-accurate tier (word-line-level SRAM simulation).
+    ``fidelity="cycle"``: the word-line-level SRAM simulation.
 ``modsram-fast``
-    The analytical tier by default — identical products and exact cycle
-    reports from the shared kernel on a register file, orders of magnitude
-    faster; construct with ``fidelity="functional"`` to drop the cycle
-    reports entirely.
+    ``fidelity="analytical"``: identical products and exact cycle reports
+    from the shared kernel on a register file, several times faster.
 ``modsram-chip``
-    An N-macro chip of analytical macros with LUT-reuse-aware dispatch
-    (:class:`~repro.modsram.chip.Chip`).
+    ``fidelity="analytical", macros=N``: an N-macro chip of analytical
+    macros with LUT-reuse-aware dispatch.
+``modsram-hdl``
+    ``fidelity="hdl"``: the elaborated RTL run by the event-driven
+    simulator, cycle counts measured from the netlist.
 
-Each adapter accumulates cycle statistics across calls, which is how the
+The adapter accumulates cycle reports across calls, which is how the
 application-level examples estimate end-to-end latency on ModSRAM.
 """
 
@@ -26,15 +30,37 @@ from typing import Dict, List, Optional, Union
 
 from repro.core.algorithms.base import ModularMultiplier, register_multiplier
 from repro.errors import ConfigurationError
-from repro.modsram.analytical import AnalyticalModSRAM
-from repro.modsram.accelerator import ModSRAMAccelerator
 from repro.modsram.chip import Chip, ChipSchedule
 from repro.modsram.config import ModSRAMConfig
-from repro.modsram.fidelity import Fidelity
-from repro.modsram.functional import FunctionalModSRAM
+from repro.modsram.fidelity import Fidelity, build_simulator
 from repro.modsram.report import CycleReport
 
-__all__ = ["ModSRAMMultiplier", "ModSRAMFastMultiplier", "ModSRAMChipMultiplier"]
+__all__ = ["ModSRAMMultiplier"]
+
+#: Registry name and description of each deployment shape, keyed by
+#: ``(fidelity, is a chip)``.  Chips are built from analytical macros only.
+_SHAPES = {
+    (Fidelity.CYCLE, False): (
+        "modsram",
+        "Cycle-level ModSRAM accelerator model (R4CSA-LUT executed in the "
+        "simulated 8T SRAM array).",
+    ),
+    (Fidelity.ANALYTICAL, False): (
+        "modsram-fast",
+        "Analytical-tier ModSRAM model: the shared R4CSA-LUT kernel on a "
+        "register file with closed-form cycle reports (no SRAM substrate).",
+    ),
+    (Fidelity.ANALYTICAL, True): (
+        "modsram-chip",
+        "N-macro ModSRAM chip: analytical macros with LUT-reuse-aware "
+        "chip-level dispatch.",
+    ),
+    (Fidelity.HDL, False): (
+        "modsram-hdl",
+        "HDL co-simulation tier: the elaborated ModSRAM RTL executed by the "
+        "event-driven simulator, cycle counts measured from the netlist.",
+    ),
+}
 
 
 def _config_for(
@@ -48,58 +74,78 @@ def _config_for(
 
 @register_multiplier
 class ModSRAMMultiplier(ModularMultiplier):
-    """Runs every multiplication through the cycle-level ModSRAM model."""
+    """Runs every multiplication through a simulated ModSRAM macro or chip.
 
-    name = "modsram"
-    description = (
-        "Cycle-level ModSRAM accelerator model (R4CSA-LUT executed in the "
-        "simulated 8T SRAM array)."
-    )
+    ``fidelity`` selects the tier (``"cycle"``, ``"analytical"`` or
+    ``"hdl"``); ``macros=N`` runs an N-macro chip of analytical macros
+    instead of one macro.  Every shape returns identical products and
+    :class:`CycleReport`\\ s.
+    """
+
+    name, description = _SHAPES[Fidelity.CYCLE, False]
     direct_form = True
 
-    def __init__(self, config: Optional[ModSRAMConfig] = None) -> None:
+    def __init__(
+        self,
+        config: Optional[ModSRAMConfig] = None,
+        fidelity: Union[str, Fidelity] = Fidelity.CYCLE,
+        macros: Optional[int] = None,
+    ) -> None:
         super().__init__()
+        tier = Fidelity.coerce(fidelity)
+        if macros is not None and macros <= 0:
+            raise ConfigurationError(f"macros must be positive, got {macros}")
+        try:
+            self.name, self.description = _SHAPES[tier, macros is not None]
+        except KeyError:
+            raise ConfigurationError(
+                f"a chip is built from analytical macros; macros={macros} "
+                f"needs fidelity='analytical', got {tier.value!r}"
+            ) from None
         self._config = config
-        self._accelerators: Dict[int, ModSRAMAccelerator] = {}
+        self.fidelity = tier
+        self.macros = macros
+        self._simulators: Dict[int, object] = {}
         self.reports: List[CycleReport] = []
 
     # ------------------------------------------------------------------ #
-    # accelerator management
+    # simulator management
     # ------------------------------------------------------------------ #
-    def accelerator_for(self, modulus: int) -> ModSRAMAccelerator:
-        """Return (and cache) a macro sized for ``modulus``.
+    def simulator_for(self, modulus: int):
+        """Return (and cache) the macro or chip sized for ``modulus``.
 
         When the adapter was constructed with an explicit configuration that
-        configuration is always used; otherwise a macro is instantiated per
+        configuration is always used; otherwise one is instantiated per
         modulus bitwidth, mirroring how a real deployment would provision
         one macro per field.
         """
         config = _config_for(self._config, modulus)
         key = config.bitwidth
-        if key not in self._accelerators:
-            self._accelerators[key] = ModSRAMAccelerator(config)
-        return self._accelerators[key]
+        if key not in self._simulators:
+            self._simulators[key] = (
+                build_simulator(self.fidelity, config)
+                if self.macros is None
+                else Chip(self.macros, config)
+            )
+        return self._simulators[key]
 
     def prepare(self, modulus: int) -> None:
-        """Provision the simulated macro for ``modulus`` eagerly."""
-        self.accelerator_for(modulus)
+        """Provision (and for ``hdl``, elaborate) the macro for ``modulus``."""
+        self.simulator_for(modulus)
 
     # ------------------------------------------------------------------ #
     # ModularMultiplier interface
     # ------------------------------------------------------------------ #
     def _multiply(self, a: int, b: int, modulus: int) -> int:
-        accelerator = self.accelerator_for(modulus)
-        result = accelerator.multiply(a, b, modulus)
-        self.reports.append(result.report)
-        self._account(result.report)
-        return result.product
-
-    def _account(self, report: CycleReport) -> None:
+        result = self.simulator_for(modulus).multiply(a, b, modulus)
+        report = result.report
+        self.reports.append(report)
         self.stats.iterations += report.iterations
         self.stats.lut_lookups += 2 * report.iterations
         self.stats.carry_save_additions += 2 * report.iterations
         if not report.lut_reused:
             self.stats.precomputations += 1
+        return result.product
 
     def cycles(self, bitwidth: int) -> Optional[int]:
         """Main-loop cycles of a macro sized for ``bitwidth`` operands."""
@@ -124,145 +170,24 @@ class ModSRAMMultiplier(ModularMultiplier):
         reused = sum(1 for report in self.reports if report.lut_reused)
         return reused / len(self.reports)
 
-
-@register_multiplier
-class ModSRAMFastMultiplier(ModSRAMMultiplier):
-    """The analytical (or functional) tier behind the multiplier interface.
-
-    Identical products to ``modsram`` — both run the shared kernel — with
-    the SRAM substrate replaced by a register file.  The default
-    ``fidelity="analytical"`` keeps exact per-multiplication
-    :class:`CycleReport`\\ s; ``fidelity="functional"`` drops the cycle
-    model entirely (``cycles()`` returns ``None``) for pure throughput.
-    """
-
-    name = "modsram-fast"
-    description = (
-        "Analytical-tier ModSRAM model: the shared R4CSA-LUT kernel on a "
-        "register file with closed-form cycle reports (no SRAM substrate)."
-    )
-    direct_form = True
-
-    def __init__(
-        self,
-        config: Optional[ModSRAMConfig] = None,
-        fidelity: Union[str, Fidelity] = Fidelity.ANALYTICAL,
-    ) -> None:
-        super().__init__(config)
-        tier = Fidelity.coerce(fidelity)
-        if tier is Fidelity.CYCLE:
-            raise ConfigurationError(
-                "fidelity='cycle' is the 'modsram' multiplier; 'modsram-fast' "
-                "offers the analytical and functional tiers"
-            )
-        self.fidelity = tier
-        self._simulators: Dict[int, object] = {}
-
-    def simulator_for(
-        self, modulus: int
-    ) -> Union[AnalyticalModSRAM, FunctionalModSRAM]:
-        """Return (and cache) a tier simulator sized for ``modulus``."""
-        config = _config_for(self._config, modulus)
-        key = config.bitwidth
-        if key not in self._simulators:
-            tier_cls = (
-                AnalyticalModSRAM
-                if self.fidelity is Fidelity.ANALYTICAL
-                else FunctionalModSRAM
-            )
-            self._simulators[key] = tier_cls(config)
-        return self._simulators[key]
-
-    def accelerator_for(self, modulus: int) -> ModSRAMAccelerator:
-        raise ConfigurationError(
-            "the fast tiers have no SRAM accelerator; use simulator_for()"
-        )
-
-    def prepare(self, modulus: int) -> None:
-        self.simulator_for(modulus)
-
-    def _multiply(self, a: int, b: int, modulus: int) -> int:
-        simulator = self.simulator_for(modulus)
-        result = simulator.multiply(a, b, modulus)
-        if self.fidelity is Fidelity.ANALYTICAL:
-            self.reports.append(result.report)
-            self._account(result.report)
-        else:
-            self.stats.iterations += simulator.config.iterations
-            self.stats.lut_lookups += 2 * simulator.config.iterations
-            self.stats.carry_save_additions += 2 * simulator.config.iterations
-            if not result.lut_reused:
-                self.stats.precomputations += 1
-        return result.product
-
-    def cycles(self, bitwidth: int) -> Optional[int]:
-        if self.fidelity is Fidelity.FUNCTIONAL:
-            return None
-        return super().cycles(bitwidth)
-
-
-@register_multiplier
-class ModSRAMChipMultiplier(ModSRAMMultiplier):
-    """An N-macro chip behind the multiplier interface.
-
-    Every multiplication is dispatched LUT-reuse-aware across the chip's
-    analytical macros (:class:`~repro.modsram.chip.Chip`); per-operation
-    latency matches the single-macro tiers while the chip-level activity
-    summary (:meth:`activity`) exposes the scale-out throughput.
-    """
-
-    name = "modsram-chip"
-    description = (
-        "N-macro ModSRAM chip: analytical macros with LUT-reuse-aware "
-        "chip-level dispatch."
-    )
-    direct_form = True
-
-    def __init__(
-        self, config: Optional[ModSRAMConfig] = None, macros: int = 4
-    ) -> None:
-        super().__init__(config)
-        if macros <= 0:
-            raise ConfigurationError(f"macros must be positive, got {macros}")
-        self.macros = macros
-        self._chips: Dict[int, Chip] = {}
-
-    def chip_for(self, modulus: int) -> Chip:
-        """Return (and cache) a chip sized for ``modulus``."""
-        config = _config_for(self._config, modulus)
-        key = config.bitwidth
-        if key not in self._chips:
-            self._chips[key] = Chip(self.macros, config)
-        return self._chips[key]
-
-    def accelerator_for(self, modulus: int) -> ModSRAMAccelerator:
-        raise ConfigurationError(
-            "the chip tier has no single SRAM accelerator; use chip_for()"
-        )
-
-    def prepare(self, modulus: int) -> None:
-        self.chip_for(modulus)
-
-    def _multiply(self, a: int, b: int, modulus: int) -> int:
-        chip = self.chip_for(modulus)
-        result = chip.multiply(a, b, modulus)
-        self.reports.append(result.report)
-        self._account(result.report)
-        return result.product
-
     def activity(self, bitwidth: Optional[int] = None) -> ChipSchedule:
         """Chip-level schedule summary for one provisioned bitwidth.
 
-        With a single provisioned chip (the common case) ``bitwidth`` may
-        be omitted.
+        Only a chip (``macros`` set) has one.  With a single provisioned
+        chip (the common case) ``bitwidth`` may be omitted.
         """
-        if not self._chips:
+        if self.macros is None:
+            raise ConfigurationError(
+                f"{self.name!r} is a single macro; activity() needs a chip "
+                "(macros=N)"
+            )
+        if not self._simulators:
             raise ConfigurationError("no chip provisioned yet; multiply first")
         if bitwidth is None:
-            if len(self._chips) > 1:
+            if len(self._simulators) > 1:
                 raise ConfigurationError(
-                    f"several chips provisioned ({sorted(self._chips)}); "
+                    f"several chips provisioned ({sorted(self._simulators)}); "
                     "name the bitwidth"
                 )
-            bitwidth = next(iter(self._chips))
-        return self._chips[bitwidth].activity()
+            bitwidth = next(iter(self._simulators))
+        return self._simulators[bitwidth].activity()

@@ -7,13 +7,12 @@ and how many write-backs occur.  The energy model consumes these directly.
 
 :class:`ArrayStats` is the *shared accounting currency* of the layered
 simulation core: the behavioural array fills one in while simulating, the
-functional tier fills one in from its register-file host, and the
-analytical tier synthesises one in closed form — so the energy model and
-the reports never need to know which fidelity tier produced the numbers.
-The algebra helpers (:meth:`merged_with`, :meth:`snapshot` /
+analytical tier's register-file host counts one alongside, and the
+analytical cost model synthesises one in closed form — so the energy model
+and the reports never need to know which fidelity tier produced the
+numbers.  The algebra helpers (:meth:`merged_with`, :meth:`snapshot` /
 :meth:`delta_since`) support multi-macro aggregation (``Chip.stats()``) and
-per-multiplication attribution (``FunctionalResult.stats``) without
-coupling callers to the array.
+per-multiplication attribution without coupling callers to the array.
 """
 
 from __future__ import annotations

@@ -89,6 +89,10 @@ class TestSignAndVerify:
 
 
 class TestOnAlgorithmBackend:
+    # A full sign in bit-level emulation is the suite's largest single cost;
+    # tier-1 keeps the seeded P-256 field sample on r4csa-lut
+    # (tests/ecc/test_field.py::TestBackendsAndCounting).
+    @pytest.mark.slow
     def test_signature_verifies_when_field_runs_on_r4csa_lut(self):
         """The full PKC workload with the paper's algorithm as the multiplier."""
         spec = CURVE_SPECS["secp256k1"]

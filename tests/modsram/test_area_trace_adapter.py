@@ -155,13 +155,13 @@ class TestModSRAMMultiplierAdapter:
         multiplier = ModSRAMMultiplier()
         multiplier.multiply(3, 7, 65521)
         multiplier.multiply(3, 7, (1 << 24) - 3)
-        assert set(multiplier._accelerators) == {16, 24}
+        assert set(multiplier._simulators) == {16, 24}
 
     def test_explicit_configuration_is_respected(self):
         config = ModSRAMConfig(extend_for_full_range=False).with_bitwidth(16)
         multiplier = ModSRAMMultiplier(config)
         multiplier.multiply(3, 7, 65521)
-        assert multiplier.accelerator_for(65521).config is config
+        assert multiplier.simulator_for(65521).config is config
 
     def test_cycles_matches_schedule(self):
         multiplier = ModSRAMMultiplier()

@@ -10,7 +10,6 @@ from repro.modsram import (
     AnalyticalCostModel,
     AnalyticalModSRAM,
     Fidelity,
-    FunctionalModSRAM,
     ModSRAMAccelerator,
     ModSRAMConfig,
     PAPER_CONFIG,
@@ -22,15 +21,11 @@ SECP256K1_P = 2**256 - 2**32 - 977
 
 
 def tiers(config: ModSRAMConfig):
-    return (
-        ModSRAMAccelerator(config),
-        AnalyticalModSRAM(config),
-        FunctionalModSRAM(config),
-    )
+    return ModSRAMAccelerator(config), AnalyticalModSRAM(config)
 
 
 class TestProductParity:
-    """All three tiers return identical products (acceptance criterion)."""
+    """The cycle and analytical tiers return identical products."""
 
     @pytest.mark.parametrize(
         "modulus,config",
@@ -41,13 +36,12 @@ class TestProductParity:
         ids=["bn254-paper", "secp256k1-full-range"],
     )
     def test_randomised_parity_at_paper_widths(self, modulus, config, rng):
-        cycle, analytical, functional = tiers(config)
+        cycle, analytical = tiers(config)
         for _ in range(2):
             a, b = rng.randrange(modulus), rng.randrange(modulus)
             expected = (a * b) % modulus
             assert cycle.multiply(a, b, modulus).product == expected
             assert analytical.multiply(a, b, modulus).product == expected
-            assert functional.multiply(a, b, modulus).product == expected
 
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
@@ -56,15 +50,14 @@ class TestProductParity:
         a = data.draw(st.integers(0, modulus - 1))
         b = data.draw(st.integers(0, modulus - 1))
         config = ModSRAMConfig().with_bitwidth(16)
-        cycle, analytical, functional = tiers(config)
+        cycle, analytical = tiers(config)
         expected = (a * b) % modulus
         assert cycle.multiply(a, b, modulus).product == expected
         assert analytical.multiply(a, b, modulus).product == expected
-        assert functional.multiply(a, b, modulus).product == expected
 
-    def test_fast_tiers_enforce_the_same_preconditions(self):
+    def test_tiers_enforce_the_same_preconditions(self):
         config = ModSRAMConfig(extend_for_full_range=False).with_bitwidth(16)
-        for simulator in (AnalyticalModSRAM(config), FunctionalModSRAM(config)):
+        for simulator in tiers(config):
             with pytest.raises(OperandRangeError):
                 simulator.multiply(65521, 1, 65521)  # unreduced operand
             with pytest.raises(OperandRangeError):
@@ -138,14 +131,14 @@ class TestAnalyticalExactness:
 class TestAccessStatsParity:
     """Closed-form and register-file access profiles match the real array."""
 
-    def test_functional_stats_match_the_simulated_array(self, rng):
+    def test_fast_host_stats_match_the_simulated_array(self, rng):
         config = ModSRAMConfig().with_bitwidth(16)
         cycle = ModSRAMAccelerator(config)
-        functional = FunctionalModSRAM(config)
+        analytical = AnalyticalModSRAM(config)
         for pair in ((11, 13), (500, 13), (65520, 65519)):
             cycle.multiply(*pair, 65521)
-            functional.multiply(*pair, 65521)
-        assert functional.stats.as_dict() == cycle.array.stats.as_dict()
+            analytical.multiply(*pair, 65521)
+        assert analytical.host.stats.as_dict() == cycle.array.stats.as_dict()
 
     def test_analytical_closed_form_matches_measured_stats(self, rng):
         config = ModSRAMConfig().with_bitwidth(16)
@@ -173,53 +166,66 @@ class TestAccessStatsParity:
         assert modelled.write_pj == pytest.approx(measured.write_pj)
 
 
-class TestFunctionalOperations:
+class TestFastHostOperations:
+    """The analytical tier's register-file host counts every operation."""
+
     def test_operation_counts_reflect_the_schedule(self):
         config = ModSRAMConfig().with_bitwidth(16)
-        functional = FunctionalModSRAM(config)
-        result = functional.multiply(11, 13, 65521)
-        iterations = config.iterations
-        assert result.operations["imc_access"] == 2 * iterations
-        assert result.operations["modmul"] == 1
-        assert result.operations["memory_write"] > 0
+        analytical = AnalyticalModSRAM(config)
+        analytical.multiply(11, 13, 65521)
+        counts = analytical.host.counter.as_dict()
+        assert counts["imc_access"] == 2 * config.iterations
+        assert counts["modmul"] == 1
+        assert counts["memory_write"] > 0
 
     def test_per_multiplication_stats_delta_feeds_the_energy_model(self):
         config = ModSRAMConfig().with_bitwidth(16)
-        functional = FunctionalModSRAM(config)
-        first = functional.multiply(11, 13, 65521)
-        second = functional.multiply(12, 13, 65521)
+        analytical = AnalyticalModSRAM(config)
+        stats = analytical.host.stats
+        analytical.multiply(11, 13, 65521)
+        first = stats.snapshot()
+        analytical.multiply(12, 13, 65521)
+        second = stats.delta_since(first)
         # The per-multiplication profile stands alone (not cumulative) ...
-        assert first.stats.row_writes > second.stats.row_writes  # LUT reuse
-        assert (
-            first.stats.merged_with(second.stats).as_dict()
-            == functional.stats.as_dict()
-        )
+        assert first.row_writes > second.row_writes  # LUT reuse
+        assert first.merged_with(second).as_dict() == stats.as_dict()
         # ... and prices one multiplication directly.
-        assert config.energy.from_stats(second.stats).total_pj > 0
+        assert config.energy.from_stats(second).total_pj > 0
 
     def test_counts_are_per_multiplication_deltas(self):
         config = ModSRAMConfig().with_bitwidth(16)
-        functional = FunctionalModSRAM(config)
-        first = functional.multiply(11, 13, 65521)
-        second = functional.multiply(12, 13, 65521)
-        assert second.lut_reused
-        assert second.operations["imc_access"] == first.operations["imc_access"]
-        assert "memory_write" in first.operations
+        analytical = AnalyticalModSRAM(config)
+        counter = analytical.host.counter
+        analytical.multiply(11, 13, 65521)
+        first = counter.as_dict()
+        second_result = analytical.multiply(12, 13, 65521)
+        second = {
+            name: count - first.get(name, 0)
+            for name, count in counter.as_dict().items()
+        }
+        assert second_result.report.lut_reused
+        assert first["imc_access"] == second["imc_access"] == 2 * config.iterations
         # Reuse skips the 13 LUT row writes.
-        assert (
-            first.operations["memory_write"]
-            - second.operations["memory_write"]
-            == 13
-        )
+        assert first["memory_write"] - second["memory_write"] == 13
 
 
 class TestFidelitySelection:
     def test_build_simulator_types(self):
         assert isinstance(build_simulator("cycle"), ModSRAMAccelerator)
         assert isinstance(build_simulator("analytical"), AnalyticalModSRAM)
-        assert isinstance(build_simulator("functional"), FunctionalModSRAM)
         assert isinstance(
-            build_simulator(Fidelity.FUNCTIONAL), FunctionalModSRAM
+            build_simulator(Fidelity.ANALYTICAL), AnalyticalModSRAM
+        )
+
+    @pytest.mark.parametrize(
+        "select", [build_simulator, Fidelity.coerce], ids=["build", "coerce"]
+    )
+    def test_the_functional_tier_is_gone(self, select):
+        with pytest.raises(ConfigurationError) as excinfo:
+            select("functional")
+        assert str(excinfo.value) == (
+            "unknown fidelity 'functional'; choose from "
+            "['analytical', 'cycle', 'hdl']"
         )
 
     def test_unknown_fidelity_is_rejected(self):

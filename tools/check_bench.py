@@ -106,14 +106,6 @@ SCHEMAS = {
     },
     "BENCH_chip_scaling.json": {
         "benchmark": Value("chip_scaling"),
-        "fidelity": {
-            "sign_multiplications": int,
-            "functional_sign_seconds": NUMBER,
-            "cycle_sign_seconds": NUMBER,
-            "per_multiply_speedup": NUMBER,
-            "full_sign_speedup": NUMBER,
-            "required_speedup": NUMBER,
-        },
         "chip_scaling": dict,
     },
     "BENCH_cluster.json": {
