@@ -2,12 +2,12 @@
 
 The paper evaluates one macro; every workload-scale question the roadmap
 cares about (full ECDSA signing, large NTTs, MSM batches) needs *many*
-macros.  This exhibit dispatches a workload's multiplication stream
-(:mod:`repro.ecc.streams`, :mod:`repro.zkp.streams`) across chips of
-increasing macro count with the LUT-reuse-aware scheduler
-(:mod:`repro.modsram.chip`) and reports, per macro count: makespan,
-latency, throughput, LUT-reuse rate, speedup over one macro and parallel
-efficiency.
+macros.  This exhibit dispatches a workload's multiplicand keys (the
+flat stream :func:`repro.workloads.builders.multiplicand_keys` emits from
+the graph builders) across chips of increasing macro count with the
+LUT-reuse-aware scheduler (:mod:`repro.modsram.chip`) and reports, per
+macro count: makespan, latency, throughput, LUT-reuse rate, speedup over
+one macro and parallel efficiency.
 
 Registered as experiment ``chip-scaling`` in :mod:`repro.experiments`, so
 it runs through the cached/parallel Runner, appears in ``repro report``,
@@ -18,11 +18,11 @@ and is reachable as ``repro experiment run chip-scaling`` or the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.tables import render_table
 from repro.errors import ConfigurationError
-from repro.modsram.chip import ChipScheduler, MultiplicationJob
+from repro.modsram.chip import ChipScheduler
 from repro.modsram.config import ModSRAMConfig
 
 __all__ = [
@@ -32,32 +32,9 @@ __all__ = [
     "CHIP_WORKLOADS",
 ]
 
-#: Workload stream generators by name; each maps the experiment parameters
-#: to an iterable of MultiplicationJobs.
+#: Workloads the exhibit can dispatch, named as
+#: :func:`~repro.workloads.builders.multiplicand_keys` names them.
 CHIP_WORKLOADS: Tuple[str, ...] = ("ecdsa-sign", "scalar-mult", "ntt", "msm")
-
-
-def _workload_stream(
-    workload: str,
-    scalar_bits: int,
-    signatures: int,
-    vector_size: int,
-    msm_points: int,
-) -> Iterable[MultiplicationJob]:
-    from repro.ecc.streams import ecdsa_sign_stream, scalar_multiplication_stream
-    from repro.zkp.streams import msm_stream, ntt_stream
-
-    if workload == "ecdsa-sign":
-        return ecdsa_sign_stream(scalar_bits, signatures=signatures)
-    if workload == "scalar-mult":
-        return scalar_multiplication_stream(scalar_bits)
-    if workload == "ntt":
-        return ntt_stream(vector_size)
-    if workload == "msm":
-        return msm_stream(msm_points, scalar_bits=scalar_bits)
-    raise ConfigurationError(
-        f"unknown workload {workload!r}; available: {list(CHIP_WORKLOADS)}"
-    )
 
 
 @dataclass(frozen=True)
@@ -181,28 +158,40 @@ def reproduce_chip_scaling(
 ) -> ChipScalingResult:
     """Scale one workload across chips of increasing macro count.
 
-    The multiplication stream is regenerated per macro count (streams are
-    one-shot iterables) and dispatched by the LUT-reuse-aware chip
-    scheduler on the paper's macro configuration at ``bitwidth``.
+    The workload's multiplicand keys are built once and dispatched by the
+    LUT-reuse-aware chip scheduler at every macro count, on the paper's
+    macro configuration at ``bitwidth``.
     """
     if not macro_counts:
         raise ConfigurationError("macro_counts must not be empty")
+    # Per workload: the table caption and the builder's arguments.
+    workloads = {
+        "ecdsa-sign": (
+            f"{signatures} signature(s), {scalar_bits}-bit scalars",
+            {"scalar_bits": scalar_bits, "signatures": signatures},
+        ),
+        "scalar-mult": (f"{scalar_bits}-bit scalar", {"scalar_bits": scalar_bits}),
+        "ntt": (
+            f"2^{max(vector_size.bit_length() - 1, 0)} points",
+            {"size": vector_size},
+        ),
+        "msm": (
+            f"{msm_points} points, {scalar_bits}-bit scalars",
+            {"points": msm_points, "scalar_bits": scalar_bits},
+        ),
+    }
+    if workload not in workloads:
+        raise ConfigurationError(
+            f"unknown workload {workload!r}; available: {list(CHIP_WORKLOADS)}"
+        )
+    from repro.workloads.builders import multiplicand_keys
+
+    parameter, arguments = workloads[workload]
+    keys = multiplicand_keys(workload, **arguments)
     config = ModSRAMConfig(extend_for_full_range=False).with_bitwidth(bitwidth)
-    parameter = {
-        "ecdsa-sign": f"{signatures} signature(s), {scalar_bits}-bit scalars",
-        "scalar-mult": f"{scalar_bits}-bit scalar",
-        "ntt": f"2^{max(vector_size.bit_length() - 1, 0)} points",
-        "msm": f"{msm_points} points, {scalar_bits}-bit scalars",
-    }.get(workload, "")
 
     def run_at(macros: int):
-        scheduler = ChipScheduler(int(macros), config)
-        return scheduler.schedule(
-            _workload_stream(
-                workload, scalar_bits, signatures, vector_size, msm_points
-            ),
-            operation=workload,
-        )
+        return ChipScheduler(macros, config).schedule(keys, operation=workload)
 
     schedules = {int(macros): run_at(int(macros)) for macros in macro_counts}
     baseline_makespan = (

@@ -15,71 +15,62 @@ result is cacheable and JSON round-trippable.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Mapping
+from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.analysis.design_point import build_design_config
 from repro.analysis.tables import render_table
 from repro.modsram.analytical import AnalyticalCostModel, AnalyticalModSRAM
 from repro.modsram.area import AreaModel
-from repro.modsram.chip import ChipSchedule, ChipScheduler, MultiplicationJob
+from repro.modsram.chip import ChipSchedule, ChipScheduler
 from repro.modsram.fidelity import build_simulator
 from repro.dse.spec import DesignPoint
 
 __all__ = ["DsePointResult", "evaluate_design_point"]
 
 
-def _round_robin(*streams: Iterable[MultiplicationJob]) -> Iterator[MultiplicationJob]:
-    """Interleave streams one job at a time until all are exhausted."""
-    iterators = [iter(stream) for stream in streams]
-    while iterators:
-        still_live = []
-        for iterator in iterators:
-            try:
-                yield next(iterator)
-            except StopIteration:
-                continue
-            still_live.append(iterator)
-        iterators = still_live
+#: Key streams kept between points: one per (workload, bitwidth,
+#: workload_ops), so the 640-point default sweep needs 16.
+_KEY_STREAMS = 64
 
 
-def _fresh_stream(point: DesignPoint) -> Iterable[MultiplicationJob]:
-    from repro.ecc.streams import (
-        ecdsa_sign_stream,
-        scalar_multiplication_stream,
-    )
-    from repro.zkp.streams import msm_stream, ntt_stream
+@functools.lru_cache(maxsize=_KEY_STREAMS)
+def _workload_keys(workload: str, bits: int, ops: int) -> Tuple[str, ...]:
+    """Exactly ``ops`` multiplicand keys, repeating the workload as needed.
 
-    bits = point.bitwidth
-    if point.workload == "ecdsa-sign":
-        return ecdsa_sign_stream(bits, signatures=1)
-    if point.workload == "scalar-mult":
-        return scalar_multiplication_stream(bits)
-    if point.workload == "ntt":
-        return ntt_stream(256)
-    if point.workload == "msm":
-        return msm_stream(max(4, point.workload_ops // 8), scalar_bits=bits)
-    return _round_robin(
-        ecdsa_sign_stream(bits, signatures=1),
-        ntt_stream(256),
-        msm_stream(max(4, point.workload_ops // 16), scalar_bits=bits),
-    )
+    ``mixed`` interleaves ECDSA signing, a 256-point NTT and an MSM one
+    key at a time.  A point needs no more than ``ops`` keys of any one
+    workload, so each is built only that far.
+    """
+    # Imported here: repro.workloads pulls in the engine, which a sweep
+    # that only expands or reduces points never needs.
+    from repro.workloads.builders import multiplicand_keys
 
-
-def _workload_jobs(point: DesignPoint) -> List[MultiplicationJob]:
-    """Exactly ``workload_ops`` jobs, restarting the stream as needed."""
-    jobs: List[MultiplicationJob] = []
-    while len(jobs) < point.workload_ops:
-        before = len(jobs)
-        for job in _fresh_stream(point):
-            jobs.append(job)
-            if len(jobs) >= point.workload_ops:
-                break
-        if len(jobs) == before:  # pragma: no cover - empty stream guard
-            break
-    return jobs
+    if workload == "ecdsa-sign":
+        keys = multiplicand_keys("ecdsa-sign", bits, limit=ops)
+    elif workload == "scalar-mult":
+        keys = multiplicand_keys("scalar-mult", bits, limit=ops)
+    elif workload == "ntt":
+        keys = multiplicand_keys("ntt", 256, limit=ops)
+    elif workload == "msm":
+        keys = multiplicand_keys("msm", max(4, ops // 8), scalar_bits=bits, limit=ops)
+    else:
+        parts = (
+            multiplicand_keys("ecdsa-sign", bits, limit=ops),
+            multiplicand_keys("ntt", 256, limit=ops),
+            multiplicand_keys("msm", max(4, ops // 16), scalar_bits=bits, limit=ops),
+        )
+        keys = tuple(
+            key
+            for keys_at in itertools.zip_longest(*parts)
+            for key in keys_at
+            if key is not None
+        )
+    return tuple(itertools.islice(itertools.cycle(keys), ops))
 
 
 def _point_seed(point: DesignPoint) -> int:
@@ -256,8 +247,8 @@ def evaluate_design_point(point: DesignPoint) -> DsePointResult:
         geometry=geometry,
         policy=point.scheduler,
     )
-    jobs = _workload_jobs(point)
-    schedule: ChipSchedule = scheduler.schedule(jobs, operation=point.workload)
+    keys = _workload_keys(point.workload, point.bitwidth, point.workload_ops)
+    schedule: ChipSchedule = scheduler.schedule(keys, operation=point.workload)
 
     reuse = schedule.lut_reuse_rate
     cold_pj = cost_model.energy(reused=False).total_pj

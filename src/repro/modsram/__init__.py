@@ -7,13 +7,14 @@ reports), ``cycle`` (:class:`ModSRAMAccelerator`: the word-line-accurate
 SRAM model with pluggable :class:`TraceSink` collection) and ``hdl`` (the
 elaborated RTL on the :mod:`repro.hdl` event simulator) — selected via
 :func:`build_simulator`.  On top of the analytical tier,
-:class:`Chip` scales the macro out to an N-macro chip whose scheduler
-dispatches multiplication streams with LUT-reuse-aware placement.  The
-surrounding modules provide the memory map, the near-memory datapath, the
-controller FSM, the area model behind Figure 5 and the one multiplier
-adapter, :class:`ModSRAMMultiplier` (``fidelity=``, ``macros=``), that
-plugs any tier or chip into code written against the generic multiplier
-interface.
+:class:`Chip` scales the macro out to an N-macro chip, and
+:class:`ChipScheduler` dispatches a workload's multiplicand keys (one per
+multiplication, as the :mod:`repro.workloads` builders emit them) with
+LUT-reuse-aware placement.  The surrounding modules provide the memory
+map, the near-memory datapath, the controller FSM, the area model behind
+Figure 5 and the one multiplier adapter, :class:`ModSRAMMultiplier`
+(``fidelity=``, ``macros=``), that plugs any tier or chip into code
+written against the generic multiplier interface.
 """
 
 from repro.modsram.accelerator import (
@@ -41,7 +42,6 @@ from repro.modsram.chip import (
     ChipSchedule,
     ChipScheduler,
     GraphSchedule,
-    MultiplicationJob,
 )
 from repro.modsram.config import PAPER_CONFIG, ModSRAMConfig
 from repro.modsram.geometry import SUPPORTED_RADICES, MacroGeometry
@@ -98,7 +98,6 @@ __all__ = [
     "ModSRAMConfig",
     "ModSRAMMultiplier",
     "ModSRAMSystem",
-    "MultiplicationJob",
     "MultiplicationResult",
     "NULL_SINK",
     "NearMemoryDatapath",

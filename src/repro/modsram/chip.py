@@ -3,11 +3,13 @@
 §5.2 of the paper sizes one 64-row macro so a point operation's operands
 stay resident while its multiplications execute; this module generalises
 that scheduling argument from one macro to a *chip* of ``N`` macros.  A
-workload arrives as a stream of :class:`MultiplicationJob`\\ s — each naming
-the multiplicand whose radix-4 LUT it needs — and the chip-level scheduler
-places every job on the macro where it finishes earliest, which makes the
-placement LUT-reuse-aware: a macro whose resident LUT already matches skips
-the refill and therefore usually wins the placement race.
+workload arrives as a stream of multiplicand keys — one per multiplication,
+naming the multiplicand whose radix-4 LUT it needs, as
+:func:`repro.workloads.builders.multiplicand_keys` emits them — and the
+chip-level scheduler places every job on the macro where it finishes
+earliest, which makes the placement LUT-reuse-aware: a macro whose
+resident LUT already matches skips the refill and therefore usually wins
+the placement race.
 
 Two layers share the placement core:
 
@@ -36,7 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.workloads.graph import WorkloadGraph
 
 __all__ = [
-    "MultiplicationJob",
     "ChipSchedule",
     "ChipScheduler",
     "GraphSchedule",
@@ -50,20 +51,6 @@ __all__ = [
 #: ``round-robin`` is the residency-blind baseline the DSE sweeps use to
 #: quantify what LUT-aware placement buys at each design point.
 SCHEDULER_POLICIES = ("lut-aware", "round-robin")
-
-
-@dataclass(frozen=True)
-class MultiplicationJob:
-    """One modular multiplication of a workload stream.
-
-    ``multiplicand`` is the LUT-reuse key: two consecutive jobs on the same
-    macro with equal keys share the resident radix-4 LUT.  ``tag`` is a free
-    annotation naming the originating operation (``"double[17]"``,
-    ``"ntt:s3"``, ...) for diagnostics.
-    """
-
-    multiplicand: str
-    tag: str = ""
 
 
 @dataclass(frozen=True)
@@ -434,10 +421,14 @@ class ChipScheduler:
 
     def schedule(
         self,
-        jobs: Iterable[MultiplicationJob],
+        keys: Iterable[str],
         operation: str = "stream",
     ) -> ChipSchedule:
-        """Dispatch one stream; returns the chip-level schedule summary."""
+        """Dispatch one stream of multiplicand keys; returns its summary.
+
+        Each key is one multiplication: two consecutive jobs on the same
+        macro with equal keys share the resident radix-4 LUT.
+        """
         state = _PlacementState(
             self.macros,
             self.cost_model.iteration_cycles(),
@@ -445,8 +436,8 @@ class ChipScheduler:
             policy=self.policy,
         )
         count = 0
-        for job in jobs:
-            state.place(job.multiplicand)
+        for key in keys:
+            state.place(key)
             count += 1
         return ChipSchedule(
             operation=operation,

@@ -26,6 +26,7 @@ application-level examples estimate end-to-end latency on ModSRAM.
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, List, Optional, Union
 
 from repro.core.algorithms.base import ModularMultiplier, register_multiplier
@@ -106,6 +107,7 @@ class ModSRAMMultiplier(ModularMultiplier):
         self.fidelity = tier
         self.macros = macros
         self._simulators: Dict[int, object] = {}
+        self._simulators_lock = threading.Lock()
         self.reports: List[CycleReport] = []
 
     # ------------------------------------------------------------------ #
@@ -117,17 +119,26 @@ class ModSRAMMultiplier(ModularMultiplier):
         When the adapter was constructed with an explicit configuration that
         configuration is always used; otherwise one is instantiated per
         modulus bitwidth, mirroring how a real deployment would provision
-        one macro per field.
+        one macro per field.  The build runs under a lock with a re-check,
+        so concurrent :meth:`prepare` calls build each simulator exactly
+        once (the prepare contract of the base class); a cached simulator
+        is returned without taking the lock.
         """
         config = _config_for(self._config, modulus)
         key = config.bitwidth
-        if key not in self._simulators:
-            self._simulators[key] = (
-                build_simulator(self.fidelity, config)
-                if self.macros is None
-                else Chip(self.macros, config)
-            )
-        return self._simulators[key]
+        simulator = self._simulators.get(key)
+        if simulator is not None:
+            return simulator
+        with self._simulators_lock:
+            simulator = self._simulators.get(key)
+            if simulator is None:
+                simulator = (
+                    build_simulator(self.fidelity, config)
+                    if self.macros is None
+                    else Chip(self.macros, config)
+                )
+                self._simulators[key] = simulator
+        return simulator
 
     def prepare(self, modulus: int) -> None:
         """Provision (and for ``hdl``, elaborate) the macro for ``modulus``."""

@@ -10,14 +10,14 @@ simulation core: the behavioural array fills one in while simulating, the
 analytical tier's register-file host counts one alongside, and the
 analytical cost model synthesises one in closed form — so the energy model
 and the reports never need to know which fidelity tier produced the
-numbers.  The algebra helpers (:meth:`merged_with`, :meth:`snapshot` /
-:meth:`delta_since`) support multi-macro aggregation (``Chip.stats()``) and
-per-multiplication attribution without coupling callers to the array.
+numbers.  :meth:`merged_with` sums two of them, which is how a multi-macro
+chip reports one chip-wide profile (``Chip.stats()``) without coupling
+callers to the array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 __all__ = ["ArrayStats"]
@@ -62,7 +62,7 @@ class ArrayStats:
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
     # ------------------------------------------------------------------ #
-    # algebra (multi-macro aggregation, per-operation attribution)
+    # algebra (multi-macro aggregation)
     # ------------------------------------------------------------------ #
     def merged_with(self, other: "ArrayStats") -> "ArrayStats":
         """A new stats object with element-wise summed counters."""
@@ -70,17 +70,3 @@ class ArrayStats:
         for name in self.__dataclass_fields__:
             setattr(merged, name, getattr(self, name) + getattr(other, name))
         return merged
-
-    def snapshot(self) -> "ArrayStats":
-        """An independent copy of the current counters."""
-        copy = ArrayStats()
-        for name in self.__dataclass_fields__:
-            setattr(copy, name, getattr(self, name))
-        return copy
-
-    def delta_since(self, earlier: "ArrayStats") -> "ArrayStats":
-        """Counters accumulated since an earlier :meth:`snapshot`."""
-        delta = ArrayStats()
-        for name in self.__dataclass_fields__:
-            setattr(delta, name, getattr(self, name) - getattr(earlier, name))
-        return delta

@@ -1,13 +1,13 @@
 """Graph constructors for the ECC / ZKP workloads the paper motivates.
 
-These builders are the canonical, dependency-aware form of the flat-stream
-generators in ``ecc/streams.py`` and ``zkp/streams.py``: the node
-*emission order* is byte-identical to the streams — so ``graph.to_jobs()``
-reproduces each stream exactly — while every node additionally carries the
-dependency edges the streams cannot express.  The streams remain
-independent O(1)-memory generators (huge workloads schedule without
-materialising a graph); the equivalence is pinned both ways by
-``tests/workloads/test_builders.py``, so edit the two sides together.
+These builders are the only code that emits a workload.  Each one appends
+its multiplications to a graph in a fixed *emission order* — the order a
+flat chip stream dispatches them in — and gives every node the dependency
+edges a graph-aware scheduler needs.  :func:`multiplicand_keys` runs the
+same builder code against a key-recording sink instead of a
+:class:`WorkloadGraph`, so a flat stream is just the emitted multiplicand
+keys, and a caller that needs only the first ``limit`` keys stops the
+builder there instead of materialising a 57k-node MSM graph.
 
 The dependency model follows the point-operation formulas of
 :mod:`repro.modsram.scheduler`: within an operation, a multiplication
@@ -24,9 +24,19 @@ the window reduction.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-from repro.errors import OperandRangeError
+from repro.errors import ConfigurationError, OperandRangeError
 from repro.modsram.scheduler import DOUBLING_SEQUENCE, MIXED_ADDITION_SEQUENCE
 from repro.workloads.graph import Operand, Ref, WorkloadGraph
 
@@ -37,6 +47,7 @@ __all__ = [
     "ntt_graph",
     "msm_graph",
     "product_tree_graph",
+    "multiplicand_keys",
 ]
 
 #: Operand names that are per-ladder state: nodes consuming them depend on
@@ -82,10 +93,11 @@ def _append_point_operation(
     """Append one point operation's multiplications; return its exit nodes.
 
     ``scope`` prefixes every multiplicand key (LUT names are per operation
-    instance, exactly like the legacy streams); ``entry_deps`` are the
-    previous operation's exits, inherited by every node that consumes the
-    running point.  Exit nodes are those no later node of the *same*
-    operation depends on — the next ladder step chains off them.
+    instance: ``yy`` of one doubling is not the ``yy`` of the next);
+    ``entry_deps`` are the previous operation's exits, inherited by every
+    node that consumes the running point.  Exit nodes are those no later
+    node of the *same* operation depends on — the next ladder step chains
+    off them.
     """
     if derived is None:
         derived = _DERIVED_BY_SEQUENCE.get(id(sequence), {})
@@ -143,9 +155,10 @@ def _append_scalar_multiplication(
 ) -> List[int]:
     """Append a double-and-add ladder; return the final operation's exits.
 
-    Emission order matches the legacy stream: ``scalar_bits`` doublings
-    with a mixed addition after every second doubling until ``additions``
-    (default: half the bit length) are placed, stragglers at the end.
+    Emission order: ``scalar_bits`` doublings with a mixed addition after
+    every second doubling until ``additions`` (default: half the bit
+    length, the expected Hamming weight of a random scalar) are placed,
+    stragglers at the end.
     """
     if scalar_bits <= 0:
         raise OperandRangeError(
@@ -222,6 +235,17 @@ def ecdsa_sign_graph(
     Signatures are mutually independent, so batched signing is
     embarrassingly wide.
     """
+    graph = WorkloadGraph(name=f"ecdsa-sign[{signatures}x{scalar_bits}]")
+    _append_ecdsa_sign(graph, scalar_bits, signatures, field_name)
+    return graph
+
+
+def _append_ecdsa_sign(
+    graph: WorkloadGraph,
+    scalar_bits: int = 256,
+    signatures: int = 1,
+    field_name: str = "",
+) -> None:
     if signatures <= 0:
         raise OperandRangeError(
             f"signatures must be positive, got {signatures}"
@@ -230,7 +254,6 @@ def ecdsa_sign_graph(
         raise OperandRangeError(
             f"scalar_bits must be positive, got {scalar_bits}"
         )
-    graph = WorkloadGraph(name=f"ecdsa-sign[{signatures}x{scalar_bits}]")
     for signature in range(signatures):
         prefix = f"sig[{signature}]"
         ladder_exits = _append_scalar_multiplication(
@@ -269,7 +292,6 @@ def ecdsa_sign_graph(
             tag="s-computation",
             field_name=field_name,
         )
-    return graph
 
 
 def ntt_graph(size: int, tag: str = "ntt", field_name: str = "") -> WorkloadGraph:
@@ -282,11 +304,18 @@ def ntt_graph(size: int, tag: str = "ntt", field_name: str = "") -> WorkloadGrap
     ``size / 2``).  Emission stays twiddle-major within a stage — the
     ordering under which the paper's LUT-reuse argument applies.
     """
+    graph = WorkloadGraph(name=f"{tag}[{size}]")
+    _append_ntt(graph, size, tag, field_name)
+    return graph
+
+
+def _append_ntt(
+    graph: WorkloadGraph, size: int, tag: str = "ntt", field_name: str = ""
+) -> None:
     if size < 2 or size & (size - 1):
         raise OperandRangeError(
             f"NTT size must be a power of two >= 2, got {size}"
         )
-    graph = WorkloadGraph(name=f"{tag}[{size}]")
     stages = size.bit_length() - 1
     owner: List[Optional[int]] = [None] * size
     for stage in range(stages):
@@ -311,7 +340,6 @@ def ntt_graph(size: int, tag: str = "ntt", field_name: str = "") -> WorkloadGrap
                     field_name=field_name,
                 )
                 owner[upper] = owner[lower] = index
-    return graph
 
 
 def msm_graph(
@@ -330,6 +358,19 @@ def msm_graph(
     through a sequential Horner chain of doublings.  Windows are
     independent until the Horner fold joins them.
     """
+    graph = WorkloadGraph(name=f"{tag}[{points}]")
+    _append_msm(graph, points, window_bits, scalar_bits, tag, field_name)
+    return graph
+
+
+def _append_msm(
+    graph: WorkloadGraph,
+    points: int,
+    window_bits: int = 0,
+    scalar_bits: int = 256,
+    tag: str = "msm",
+    field_name: str = "",
+) -> None:
     from repro.zkp.msm import default_window_bits
 
     if points <= 0:
@@ -344,7 +385,6 @@ def msm_graph(
     windows = -(-scalar_bits // c)
     buckets = (1 << c) - 1
 
-    graph = WorkloadGraph(name=f"{tag}[{points}]")
     reduce_tail: List[List[int]] = []
     for window in range(windows):
         bucket_tail: List[List[int]] = [[] for _ in range(buckets)]
@@ -387,7 +427,6 @@ def msm_graph(
             entry_deps=carry + reduce_tail[window],
             field_name=field_name,
         )
-    return graph
 
 
 def product_tree_graph(
@@ -431,3 +470,58 @@ def product_tree_graph(
         current = reduced
         level += 1
     return graph
+
+
+class _Enough(Exception):
+    """Raised by :class:`_KeySink` to stop a builder at the key limit."""
+
+
+class _KeySink:
+    """Stands in for a :class:`WorkloadGraph`: records keys, keeps no nodes."""
+
+    def __init__(self, limit: Optional[int]) -> None:
+        self.keys: List[str] = []
+        self.limit = limit
+
+    def add(self, multiplicand: str, **_: Any) -> int:
+        if len(self.keys) == self.limit:
+            raise _Enough
+        self.keys.append(multiplicand)
+        return len(self.keys) - 1
+
+
+#: The structural workloads by name, as their graph-appending builders.
+_EMITTERS: Mapping[str, Callable[..., Any]] = {
+    "ecdsa-sign": _append_ecdsa_sign,
+    "scalar-mult": _append_scalar_multiplication,
+    "ntt": _append_ntt,
+    "msm": _append_msm,
+}
+
+
+def multiplicand_keys(
+    workload: str, *args: Any, limit: Optional[int] = None, **params: Any
+) -> Tuple[str, ...]:
+    """A workload's multiplicand keys in emission order: its flat stream.
+
+    ``workload`` is ``"ecdsa-sign"``, ``"scalar-mult"``, ``"ntt"`` or
+    ``"msm"``; ``args`` and ``params`` are the arguments of the matching
+    ``*_graph`` builder (``multiplicand_keys("ntt", 256)`` keys
+    ``ntt_graph(256)``).  The builder runs against a sink that records
+    only the keys, and stops after ``limit`` of them, so a bounded prefix
+    costs a bounded share of the build.  This is all the flat-stream chip
+    scheduler reads: which radix-4 LUT each multiplication needs.
+    """
+    emit = _EMITTERS.get(workload)
+    if emit is None:
+        raise ConfigurationError(
+            f"unknown workload {workload!r}; available: {sorted(_EMITTERS)}"
+        )
+    if limit is not None and limit < 0:
+        raise OperandRangeError(f"limit must be non-negative, got {limit}")
+    sink = _KeySink(limit)
+    try:
+        emit(sink, *args, **params)
+    except _Enough:
+        pass
+    return tuple(sink.keys)

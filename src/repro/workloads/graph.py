@@ -4,8 +4,9 @@ One :class:`WorkloadGraph` is one *request*: a DAG whose nodes are modular
 multiplications and whose edges are data (or conservative control)
 dependencies.  Nodes are appended in a valid topological order — every
 dependency must name an already-added node — so the graph is acyclic by
-construction and its insertion order doubles as the legacy flat stream
-order (:meth:`WorkloadGraph.to_jobs`).
+construction and its insertion order doubles as the flat stream order
+(the multiplicand keys :func:`repro.workloads.builders.multiplicand_keys`
+emits without building the graph).
 
 Two views matter to schedulers:
 
@@ -35,13 +36,11 @@ from typing import (
     List,
     NamedTuple,
     Optional,
-    Sequence,
     Tuple,
     Union,
 )
 
 from repro.errors import ConfigurationError
-from repro.modsram.chip import MultiplicationJob
 
 __all__ = ["Ref", "Operand", "MulNode", "WorkloadGraph"]
 
@@ -82,10 +81,6 @@ class MulNode:
     def executable(self) -> bool:
         """Whether both operands are known (directly or by reference)."""
         return self.a is not None and self.b is not None
-
-    def job(self) -> MultiplicationJob:
-        """This node as a flat-stream :class:`MultiplicationJob`."""
-        return MultiplicationJob(multiplicand=self.multiplicand, tag=self.tag)
 
 
 class WorkloadGraph:
@@ -226,15 +221,6 @@ class WorkloadGraph:
     # ------------------------------------------------------------------ #
     # views
     # ------------------------------------------------------------------ #
-    def to_jobs(self) -> Iterator[MultiplicationJob]:
-        """The legacy flat stream: jobs in insertion order, no dependencies.
-
-        This is what the pre-graph stream generators emitted; the
-        stream-based chip scheduler and parity tests consume it.
-        """
-        for node in self._nodes:
-            yield node.job()
-
     def linearized(self) -> "WorkloadGraph":
         """The same nodes chained serially (node ``i`` depends on ``i-1``).
 

@@ -4,17 +4,23 @@ The serving layers warm shared multipliers from worker threads, so a
 per-modulus precomputation racing itself must build exactly once and
 leave the instance consistent.  These tests pin that contract for the
 paper's R4CSA-LUT, the software multiplier with real per-modulus state
-(its overflow-table build runs under the instance lock).
+(its overflow-table build runs under the instance lock), and for the
+ModSRAM adapter, whose per-bitwidth macro or chip is built under its own.
 """
 
 from __future__ import annotations
 
 import random
 import threading
+import time
+
+import pytest
 
 import repro.core.algorithms.r4csa_lut as r4csa_module
+import repro.modsram.multiplier as modsram_module
 from repro.core.algorithms.r4csa_lut import R4CSALutMultiplier
 from repro.ecc.curves_data import CURVE_SPECS
+from repro.modsram.multiplier import ModSRAMMultiplier
 
 BN254_P = CURVE_SPECS["bn254"].field_modulus
 THREADS = 12
@@ -90,3 +96,32 @@ class TestR4CSAPrepare:
         )
         assert not errors
         assert set(results) == {a * b % BN254_P}
+
+
+class TestModSRAMPrepare:
+    @pytest.mark.parametrize(
+        "shape",
+        [{}, {"fidelity": "analytical", "macros": 4}],
+        ids=["single-macro", "chip"],
+    )
+    def test_concurrent_prepare_builds_one_simulator(self, monkeypatch, shape):
+        builds = []
+
+        def slow_build(*args):
+            # Hold the build open long enough for every racer to arrive.
+            builds.append(args)
+            time.sleep(0.02)
+            return object()
+
+        monkeypatch.setattr(modsram_module, "build_simulator", slow_build)
+        monkeypatch.setattr(modsram_module, "Chip", slow_build)
+        multiplier = ModSRAMMultiplier(**shape)
+        errors = _race(lambda: multiplier.prepare(65521))
+        assert not errors
+        assert len(builds) == 1, (
+            f"expected exactly one simulator build, got {len(builds)}"
+        )
+        simulator = multiplier.simulator_for(65521)
+        multiplier.prepare(65521)
+        assert len(builds) == 1
+        assert multiplier.simulator_for(65521) is simulator

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -11,10 +12,14 @@ from repro.dse import (
     DesignPoint,
     DseRunResult,
     SweepSpec,
+    default_sweep_spec,
     evaluate_design_point,
+    pareto_frontier,
     run_dse,
 )
+from repro.dse.evaluate import _workload_keys
 from repro.experiments import Runner
+from repro.workloads import multiplicand_keys
 
 SMALL_SPEC = SweepSpec(
     name="small",
@@ -81,6 +86,52 @@ class TestEvaluateDesignPoint:
         wire = json.loads(json.dumps(result.to_dict()))
         loaded = result.from_dict(wire)
         assert loaded == result
+
+
+class TestWorkloadKeys:
+    def test_short_workloads_repeat_from_the_start(self):
+        full = multiplicand_keys("ntt", 256)
+        keys = _workload_keys("ntt", 64, 2 * len(full) + 5)
+        assert keys == (full * 3)[: 2 * len(full) + 5]
+
+    def test_mixed_interleaves_until_each_workload_runs_out(self):
+        # 8-bit ECDSA signing is 106 keys, so it runs out first.
+        ops = 1000
+        streams = [
+            iter(multiplicand_keys("ecdsa-sign", 8)),
+            iter(multiplicand_keys("ntt", 256)),
+            iter(multiplicand_keys("msm", ops // 16, scalar_bits=8)),
+        ]
+        expected = []
+        while len(expected) < ops:
+            key = next(streams[0], None)
+            streams.append(streams.pop(0))
+            if key is not None:
+                expected.append(key)
+        assert _workload_keys("mixed", 8, ops) == tuple(expected)
+
+
+class TestDefaultSweep:
+    def test_the_default_sweep_is_pinned(self):
+        """Every integer result of the 640 default points, and the frontier."""
+        results = [evaluate_design_point(p) for p in default_sweep_spec().expand()]
+        rows = [
+            [
+                result.jobs,
+                result.makespan_cycles,
+                result.cycles_per_op,
+                round((1 - result.lut_reuse_rate) * result.jobs),
+            ]
+            for result in results
+        ]
+        assert len(rows) == 640
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+            "598a6334a3c99bcea7236bedee25357a68f1ff05884a24a8c4f0395f4ff8b471"
+        )
+        frontier = pareto_frontier([result.to_dict() for result in results])
+        assert [entry.index for entry in frontier] == [
+            1, 5, 33, 37, 65, 69, 97, 101, 129, 133,
+        ]
 
 
 class TestRunDse:

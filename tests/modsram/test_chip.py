@@ -1,14 +1,9 @@
-"""Tests for the multi-macro chip model, its scheduler and workload streams."""
+"""Tests for the multi-macro chip model, its scheduler and workload key streams."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.ecc.streams import (
-    ecdsa_sign_stream,
-    point_operation_jobs,
-    scalar_multiplication_stream,
-)
 from repro.errors import ConfigurationError, OperandRangeError
 from repro.modsram import (
     AnalyticalCostModel,
@@ -16,22 +11,17 @@ from repro.modsram import (
     Chip,
     ChipScheduler,
     ModSRAMConfig,
-    MultiplicationJob,
     PAPER_CONFIG,
 )
 from repro.modsram.scheduler import DOUBLING_SEQUENCE, MIXED_ADDITION_SEQUENCE
-from repro.zkp.streams import msm_stream, ntt_stream
-
-
-def jobs(*keys: str):
-    return [MultiplicationJob(multiplicand=key) for key in keys]
+from repro.workloads import multiplicand_keys
 
 
 class TestChipScheduler:
     def test_single_macro_matches_the_cost_algebra(self):
         scheduler = ChipScheduler(1, PAPER_CONFIG)
         model = AnalyticalCostModel(PAPER_CONFIG)
-        schedule = scheduler.schedule(jobs("a", "a", "b"))
+        schedule = scheduler.schedule(["a", "a", "b"])
         assert schedule.jobs == 3
         assert schedule.lut_refills == 2  # "a" then "b"; the middle job reuses
         assert schedule.makespan_cycles == (
@@ -41,7 +31,7 @@ class TestChipScheduler:
 
     def test_independent_jobs_spread_across_macros(self):
         schedule = ChipScheduler(4, PAPER_CONFIG).schedule(
-            jobs(*[f"k{i}" for i in range(16)])
+            [f"k{i}" for i in range(16)]
         )
         assert schedule.per_macro_jobs == (4, 4, 4, 4)
         assert schedule.utilization == pytest.approx(1.0)
@@ -49,14 +39,14 @@ class TestChipScheduler:
     def test_reuse_aware_placement_keeps_a_stream_on_its_macro(self):
         # Two interleaved streams with distinct multiplicands: the scheduler
         # must route each stream to the macro holding its LUT.
-        interleaved = jobs(*(["a", "b"] * 8))
+        interleaved = ["a", "b"] * 8
         schedule = ChipScheduler(2, PAPER_CONFIG).schedule(interleaved)
         assert schedule.lut_refills == 2  # one per stream, not per job
         assert schedule.lut_reuse_rate == pytest.approx(14 / 16)
         assert schedule.per_macro_jobs == (8, 8)
 
     def test_more_macros_reduce_makespan(self):
-        stream = list(scalar_multiplication_stream(64))
+        stream = multiplicand_keys("scalar-mult", 64)
         single = ChipScheduler(1, PAPER_CONFIG).schedule(stream)
         quad = ChipScheduler(4, PAPER_CONFIG).schedule(stream)
         assert quad.jobs == single.jobs
@@ -79,7 +69,7 @@ class TestChipScheduler:
             Chip(-1)
 
     def test_as_dict_round_trips_the_key_quantities(self):
-        schedule = ChipScheduler(2, PAPER_CONFIG).schedule(jobs("a", "b", "a"))
+        schedule = ChipScheduler(2, PAPER_CONFIG).schedule(["a", "b", "a"])
         data = schedule.as_dict()
         assert data["macros"] == 2
         assert data["jobs"] == 3
@@ -157,67 +147,71 @@ class TestChipExecution:
 
 
 class TestEccStreams:
-    def test_point_operation_jobs_scope_multiplicands(self):
-        doubling = list(point_operation_jobs(DOUBLING_SEQUENCE, "dbl[0]"))
-        assert len(doubling) == len(DOUBLING_SEQUENCE)
-        assert all(job.multiplicand.startswith("dbl[0].") for job in doubling)
+    def test_point_operations_scope_multiplicands(self):
+        stream = multiplicand_keys("scalar-mult", 2, additions=0)
+        doublings = len(DOUBLING_SEQUENCE)
+        assert len(stream) == 2 * doublings
+        assert all(key.startswith("dbl[0].") for key in stream[:doublings])
+        assert all(key.startswith("dbl[1].") for key in stream[doublings:])
+        # Equal operand names of two operations are different LUTs.
+        assert not set(stream[:doublings]) & set(stream[doublings:])
 
     def test_scalar_multiplication_stream_counts(self):
-        stream = list(scalar_multiplication_stream(64))
+        stream = multiplicand_keys("scalar-mult", 64)
         expected = 64 * len(DOUBLING_SEQUENCE) + 32 * len(MIXED_ADDITION_SEQUENCE)
         assert len(stream) == expected
 
     def test_ecdsa_sign_stream_extends_the_scalar_multiplication(self):
         bits = 32
-        sign = list(ecdsa_sign_stream(bits))
-        scalar_mult = list(scalar_multiplication_stream(bits))
+        sign = multiplicand_keys("ecdsa-sign", bits)
+        scalar_mult = multiplicand_keys("scalar-mult", bits)
         # Inversion: bits squarings + bits // 2 multiplies; plus two products.
         assert len(sign) == len(scalar_mult) + bits + bits // 2 + 2
 
     def test_multiple_signatures_do_not_share_luts(self):
-        two = list(ecdsa_sign_stream(16, signatures=2))
-        one = list(ecdsa_sign_stream(16, signatures=1))
+        two = multiplicand_keys("ecdsa-sign", 16, signatures=2)
+        one = multiplicand_keys("ecdsa-sign", 16, signatures=1)
         assert len(two) == 2 * len(one)
-        assert len({job.multiplicand for job in two}) == 2 * len(
-            {job.multiplicand for job in one}
-        )
+        assert len(set(two)) == 2 * len(set(one))
 
     def test_stream_validation(self):
         with pytest.raises(OperandRangeError):
-            list(scalar_multiplication_stream(0))
+            multiplicand_keys("scalar-mult", 0)
         with pytest.raises(OperandRangeError):
-            list(ecdsa_sign_stream(64, signatures=0))
+            multiplicand_keys("ecdsa-sign", 64, signatures=0)
 
 
 class TestZkpStreams:
     def test_ntt_stream_job_count(self):
         size = 256
-        stream = list(ntt_stream(size))
+        stream = multiplicand_keys("ntt", size)
         assert len(stream) == (size // 2) * 8  # n/2 * log2(n)
 
     def test_ntt_twiddle_groups_are_consecutive(self):
-        stream = list(ntt_stream(64))
+        stream = multiplicand_keys("ntt", 64)
         seen = []
-        for job in stream:
-            if not seen or seen[-1] != job.multiplicand:
-                seen.append(job.multiplicand)
+        for key in stream:
+            if not seen or seen[-1] != key:
+                seen.append(key)
         # Every distinct twiddle appears exactly once as a run.
         assert len(seen) == len(set(seen))
 
     def test_ntt_reuse_dominates_on_one_macro(self):
-        schedule = ChipScheduler(1, PAPER_CONFIG).schedule(ntt_stream(256))
+        schedule = ChipScheduler(1, PAPER_CONFIG).schedule(
+            multiplicand_keys("ntt", 256)
+        )
         # Distinct twiddles: 2^0 + ... + 2^7 = 255 refills for 1024 jobs.
         assert schedule.lut_refills == 255
         assert schedule.lut_reuse_rate > 0.7
 
     def test_ntt_stream_validation(self):
         with pytest.raises(OperandRangeError):
-            list(ntt_stream(3))
+            multiplicand_keys("ntt", 3)
         with pytest.raises(OperandRangeError):
-            list(ntt_stream(0))
+            multiplicand_keys("ntt", 0)
 
     def test_msm_stream_structure(self):
-        stream = list(msm_stream(8, window_bits=2, scalar_bits=8))
+        stream = multiplicand_keys("msm", 8, window_bits=2, scalar_bits=8)
         assert stream  # non-empty
         windows = 4  # ceil(8 / 2)
         buckets = 3  # 2^2 - 1
@@ -230,6 +224,6 @@ class TestZkpStreams:
 
     def test_msm_stream_validation(self):
         with pytest.raises(OperandRangeError):
-            list(msm_stream(0))
+            multiplicand_keys("msm", 0)
         with pytest.raises(OperandRangeError):
-            list(msm_stream(8, scalar_bits=0))
+            multiplicand_keys("msm", 8, scalar_bits=0)

@@ -10,7 +10,6 @@ from repro.modsram import (
     Chip,
     ChipScheduler,
     ModSRAMConfig,
-    MultiplicationJob,
     PAPER_CONFIG,
 )
 from repro.workloads import (
@@ -35,7 +34,7 @@ class TestFlatParity:
     def test_placement_parity(self, macros):
         keys = [f"k{i % 5}" for i in range(37)] + ["k0"] * 3
         scheduler = ChipScheduler(macros, PAPER_CONFIG)
-        stream = scheduler.schedule([MultiplicationJob(k) for k in keys])
+        stream = scheduler.schedule(keys)
         graph = scheduler.schedule_graph(flat_graph(keys))
         assert graph.makespan_cycles == stream.makespan_cycles
         assert graph.per_macro_jobs == stream.per_macro_jobs

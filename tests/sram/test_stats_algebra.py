@@ -18,19 +18,6 @@ class TestArrayStatsAlgebra:
         # Inputs are untouched.
         assert first.row_writes == 2 and second.row_writes == 3
 
-    def test_snapshot_and_delta_since(self):
-        stats = ArrayStats()
-        stats.record_write(256)
-        before = stats.snapshot()
-        stats.record_write(256)
-        stats.record_read(3, compute=True)
-        delta = stats.delta_since(before)
-        assert delta.row_writes == 1
-        assert delta.bits_written == 256
-        assert delta.compute_reads == 1
-        # The snapshot is independent of later mutation.
-        assert before.row_writes == 1
-
     def test_shared_stats_aggregate_across_arrays(self):
         shared = ArrayStats()
         left = SramArray(rows=4, cols=8, stats=shared)

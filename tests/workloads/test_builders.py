@@ -1,55 +1,83 @@
-"""Tests for the workload graph builders and their stream parity."""
+"""Tests for the workload graph builders and the key streams they emit."""
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
-from repro.ecc.streams import (
-    ecdsa_sign_stream,
-    point_operation_jobs,
-    scalar_multiplication_stream,
-)
-from repro.errors import OperandRangeError
+from repro.errors import ConfigurationError, OperandRangeError
 from repro.modsram.scheduler import DOUBLING_SEQUENCE, MIXED_ADDITION_SEQUENCE
 from repro.workloads import (
     ecdsa_sign_graph,
     msm_graph,
+    multiplicand_keys,
     ntt_graph,
     point_operation_graph,
     product_tree_graph,
     scalar_multiplication_graph,
 )
-from repro.zkp.streams import msm_stream, ntt_stream
+
+#: ``(workload, args, params)`` -> ``(count, sha256("\n".join(keys))[:16])``.
+#: Pinned from the hand-written linear streams that used to mirror the
+#: builders, so the key sequences the chip scheduler reads are unchanged.
+GOLDEN_KEYS = [
+    (("ecdsa-sign", (32,), {"signatures": 2}), (964, "4bc62674a6669198")),
+    (("scalar-mult", (48,), {}), (648, "9c8f63b1dc7fe056")),
+    (("ntt", (128,), {}), (448, "bbc33cc0bc55f2e8")),
+    (
+        ("msm", (8,), {"window_bits": 2, "scalar_bits": 8}),
+        (724, "930f554de66c6cba"),
+    ),
+]
+
+WORKLOADS = [workload for workload, _ in GOLDEN_KEYS]
+IDS = [name for name, _, _ in WORKLOADS]
+
+_GRAPHS = {
+    "ecdsa-sign": ecdsa_sign_graph,
+    "scalar-mult": scalar_multiplication_graph,
+    "ntt": ntt_graph,
+    "msm": msm_graph,
+}
 
 
-class TestStreamParity:
-    """graph.to_jobs() must reproduce the legacy streams exactly."""
+def _fingerprint(keys):
+    return len(keys), hashlib.sha256("\n".join(keys).encode()).hexdigest()[:16]
 
-    def test_point_operation(self):
-        graph = point_operation_graph(DOUBLING_SEQUENCE, tag="dbl[0]")
-        assert list(graph.to_jobs()) == list(
-            point_operation_jobs(DOUBLING_SEQUENCE, "dbl[0]")
+
+class TestMultiplicandKeys:
+    @pytest.mark.parametrize("workload, expected", GOLDEN_KEYS, ids=IDS)
+    def test_golden_key_streams(self, workload, expected):
+        name, args, params = workload
+        assert _fingerprint(multiplicand_keys(name, *args, **params)) == expected
+
+    @pytest.mark.parametrize("workload", WORKLOADS, ids=IDS)
+    def test_keys_are_the_graph_nodes_in_emission_order(self, workload):
+        name, args, params = workload
+        graph = _GRAPHS[name](*args, **params)
+        assert multiplicand_keys(name, *args, **params) == tuple(
+            node.multiplicand for node in graph
         )
 
-    def test_scalar_multiplication(self):
-        graph = scalar_multiplication_graph(48)
-        assert list(graph.to_jobs()) == list(scalar_multiplication_stream(48))
+    @pytest.mark.parametrize("workload", WORKLOADS, ids=IDS)
+    def test_limit_returns_a_prefix(self, workload):
+        name, args, params = workload
+        full = multiplicand_keys(name, *args, **params)
+        for limit in (0, 1, len(full) - 1, len(full), len(full) + 5):
+            assert (
+                multiplicand_keys(name, *args, limit=limit, **params)
+                == full[:limit]
+            )
 
-    def test_ecdsa_sign(self):
-        graph = ecdsa_sign_graph(32, signatures=2)
-        assert list(graph.to_jobs()) == list(
-            ecdsa_sign_stream(32, signatures=2)
-        )
-
-    def test_ntt(self):
-        graph = ntt_graph(128)
-        assert list(graph.to_jobs()) == list(ntt_stream(128))
-
-    def test_msm(self):
-        graph = msm_graph(8, window_bits=2, scalar_bits=8)
-        assert list(graph.to_jobs()) == list(
-            msm_stream(8, window_bits=2, scalar_bits=8)
-        )
+    def test_validation(self):
+        with pytest.raises(ConfigurationError, match="unknown workload"):
+            multiplicand_keys("fft", 8)
+        with pytest.raises(OperandRangeError):
+            multiplicand_keys("ntt", 8, limit=-1)
+        # Builder preconditions hold even when no key is wanted.
+        with pytest.raises(OperandRangeError):
+            multiplicand_keys("ntt", 3, limit=0)
 
 
 class TestPointOperationStructure:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.modsram.chip import MultiplicationJob
 from repro.workloads import Ref, WorkloadGraph
 
 
@@ -53,7 +52,7 @@ class TestConstruction:
         assert node.tag == "op"
         assert node.field_name == "bn254.base"
         assert node.priority == 3
-        assert node.job() == MultiplicationJob(multiplicand="key", tag="op")
+        assert node.multiplicand == "key"
 
 
 class TestStructure:
@@ -80,7 +79,7 @@ class TestStructure:
         assert graph.width == 0
         assert graph.parallelism == 0.0
         assert not graph.executable
-        assert list(graph.to_jobs()) == []
+        assert list(graph) == []
 
     def test_executable_requires_all_operands(self):
         graph = WorkloadGraph()
@@ -91,11 +90,9 @@ class TestStructure:
 
 
 class TestViews:
-    def test_to_jobs_preserves_insertion_order(self):
+    def test_iteration_preserves_insertion_order(self):
         graph = diamond()
-        jobs = list(graph.to_jobs())
-        assert [job.multiplicand for job in jobs] == ["a", "b", "c", "d"]
-        assert all(isinstance(job, MultiplicationJob) for job in jobs)
+        assert [node.multiplicand for node in graph] == ["a", "b", "c", "d"]
 
     def test_linearized_is_a_chain(self):
         chain = diamond().linearized()
